@@ -10,9 +10,8 @@ from .extensions import (ClientPartition, check_windowed_monge,
                          run_two_class_fptas, solve_two_class_fptas,
                          vector_demand_met)
 from .fptas import (BudgetGrid, FptasResult, ValueTable, build_value_table,
-                    exact_value_function, find_budget_bound,
-                    find_min_contribution, max_contribution_feasible,
-                    run_fptas, solve_fptas)
+                    find_budget_bound, find_min_contribution,
+                    max_contribution_feasible, run_fptas, solve_fptas)
 from .kernel import (Flow, GreedyServeResult, demand_met, greedy_serve,
                      greedy_transport, residual_profile, serve_schedule)
 from .model import (INF, Client, Facility, Infeasible, Instance, MongeWitness,
@@ -28,7 +27,7 @@ __all__ = [
     "Infeasible", "Instance", "LotSizingInstance", "MongeWitness",
     "OracleResult", "Solution", "ValueTable", "brute_force_optimum",
     "build_value_table", "check_monge_adjacent", "check_monge_full",
-    "check_windowed_monge", "demand_met", "dp_value", "exact_value_function",
+    "check_windowed_monge", "demand_met", "dp_value",
     "find_budget_bound", "find_min_contribution", "greedy_serve",
     "greedy_transport", "is_inf", "lot_sizing_to_cfl",
     "max_contribution_feasible", "min_cost_assignment", "multi_item_to_cfl",

@@ -57,6 +57,14 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
+def _ratio(cost, optimum) -> Optional[str]:
+    """cost / optimum as a string; "1" when both are 0, None when only
+    the optimum is."""
+    if optimum == 0:
+        return "1" if cost == 0 else None
+    return str(Fraction(cost) / Fraction(optimum))
+
+
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -121,8 +129,7 @@ def cmd_solve(args) -> int:
     if args.verify_with_oracle:
         oracle = brute_force_optimum(inst)
         report.oracle_cost = str(Fraction(oracle.optimum))
-        report.ratio = str(Fraction(solution.total_cost)
-                           / Fraction(oracle.optimum))
+        report.ratio = _ratio(solution.total_cost, oracle.optimum)
     if args.output:
         mio.save_solution(solution, args.output)
     print(json.dumps(asdict(report)))
@@ -237,7 +244,7 @@ def cmd_bench(args) -> int:
             if oracle_cost is not None and not is_inf(oracle_cost) \
                     and not is_inf(cost):
                 row["oracle_cost"] = str(Fraction(oracle_cost))
-                row["ratio"] = str(Fraction(cost) / Fraction(oracle_cost))
+                row["ratio"] = _ratio(cost, oracle_cost)
             rows.append(row)
 
         if inst.total_demand <= args.exact_max_demand:

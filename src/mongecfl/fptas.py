@@ -12,6 +12,38 @@ fill starts from a small exponent and escalates when a division is
 inexact.  numpy int64 is used when the scaled magnitudes fit, and
 object arrays of Python ints otherwise, so the arithmetic is exact
 either way.
+
+Table fill.  Row i at grid index s is the best, over carry-over
+offsets t <= s, of prev[t] (the demand facilities i+1..m meet within
+t*K) plus the demand facility i serves by spending q*K, q = s - t.  For
+fixed (i, t) that serve curve is piecewise linear in q, with one piece
+per client facility i reaches after prev[t] is taken from the right.
+Its breakpoints are computed with Python ints, and the curve splits
+into at most n+2 index ranges of q:
+
+* pre-open, q*K < open_cost: nothing is served;
+* one linear segment [lo, hi) per client served at a positive rate r,
+  where the scaled served demand is A + extra(q) / r.  extra(q) is the
+  scaled money spent past the segment's breakpoint, so
+  extra(q) = e0 + (q - lo)*K*scale with e0 = extra(lo).  The segment is
+  written as one strided slice (arange * step + const) and merged into
+  the row where it is larger;
+* the saturated tail past the last breakpoint, where served demand is
+  a constant A_L.  Free (zero-cost) clients have empty index ranges and
+  only add to the next segment's A.
+
+Exactness is checked once per segment instead of once per point: every
+extra(q) on [lo, hi) is a multiple of r exactly when r divides e0 and,
+if the segment has more than one point, r divides K*scale (consecutive
+points differ by K*scale).  So a fill raises on exactly the scales
+where some evaluated point would have an inexact division.
+
+Saturated tails are not written point by point.  The tail of (i, t) is
+the constant prev[t] + A_L at every index from t + lo_L on, so it is
+recorded at that start index only.  After all t, one sweep per row
+takes the running lexicographic max over (value, -t) and merges it into
+the segment result under the same rule: a larger value wins, and equal
+values keep the smallest carry-over t.
 """
 
 from __future__ import annotations
@@ -139,69 +171,6 @@ class _ScaleError(Exception):
     """A scaled division came out inexact; retry with a larger scale."""
 
 
-class _ServeCurve:
-    """Demand served by one facility as a function of spend, at a fixed
-    already-met demand; exact in scaled-integer arithmetic."""
-
-    def __init__(self, inst: Instance, i: int, d_scaled, scale: int, dtype):
-        self.open_cost = inst.facilities[i - 1].open_cost
-        residual = [d * scale for d in
-                    (inst.demand(j) for j in range(1, inst.n + 1))]
-        left = d_scaled
-        for idx in range(inst.n - 1, -1, -1):
-            if left <= 0:
-                break
-            take = min(residual[idx], left)
-            residual[idx] -= take
-            left -= take
-        cum_amt = [0]
-        cum_cost = [0]
-        rates: List[int] = []  # cost rate of the segment ending at index t+1
-        cap_left = inst.facilities[i - 1].capacity * scale
-        for idx in range(inst.n - 1, -1, -1):
-            r = residual[idx]
-            if r == 0:
-                continue
-            if cap_left <= 0:
-                break
-            c = inst.cost(i, idx + 1)
-            if is_inf(c):
-                break
-            amt = min(r, cap_left)
-            cum_amt.append(cum_amt[-1] + amt)
-            cum_cost.append(cum_cost[-1] + c * amt)
-            rates.append(c)
-            cap_left -= amt
-            if amt < r:
-                break
-        self.cum_amt = np.array(cum_amt, dtype=dtype)
-        self.cum_cost = np.array(cum_cost, dtype=dtype)
-        # rate used for a partial serve past breakpoint t (0 where the
-        # next segment is free or absent: free segments collapse into
-        # equal cum_cost entries and are always fully taken)
-        pad = [c if c > 0 else 0 for c in rates] + [0]
-        self.partial_rate = np.array(pad, dtype=dtype)
-        self.scale = scale
-        self.dtype = dtype
-
-    def evaluate(self, spends: np.ndarray) -> np.ndarray:
-        """Served demand (scaled) for each spend value in ``spends``."""
-        money = (spends - self.open_cost) * self.scale
-        money = np.maximum(money, np.zeros(1, dtype=self.dtype))
-        closed = spends < self.open_cost
-        idx = np.searchsorted(self.cum_cost, money, side="right") - 1
-        served = self.cum_amt[idx].copy()
-        rate = self.partial_rate[idx]
-        extra_money = money - self.cum_cost[idx]
-        nz = rate > 0
-        if np.any(nz):
-            if np.any(extra_money[nz] % rate[nz] != 0):
-                raise _ScaleError
-            served[nz] = served[nz] + extra_money[nz] // rate[nz]
-        served[closed] = 0
-        return served
-
-
 @dataclass
 class ValueTable:
     """Rounded value functions over the budget grid, with backpointers.
@@ -230,6 +199,16 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     Ties in the maximization break toward the smallest carry-over
     budget b'.
 
+    Each (facility, carry-over budget) serve curve is evaluated one
+    segment at a time: a pre-open range, one strided slice per linear
+    piece, and a saturated tail that is deferred to a per-row running
+    max (see the module docstring).  A linear piece
+    extra(q) = e0 + (q - lo)*K*scale divides exactly by its rate r at
+    every point iff r | e0 and, for pieces of two or more points,
+    r | K*scale, so inexactness is detected once per piece.  Deferred
+    tails merge under the lexicographic max over (value, -t), which
+    keeps the tie-break toward the smallest carry-over budget.
+
     Values are stored as integers scaled by lcm(costs)**k.  Denominators
     only enter through the budget-limited partial serve, one cost factor
     per facility level, so k = m always suffices; most tables need far
@@ -248,60 +227,105 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
             k = min(inst.m, k * 2)
 
 
+def _offer(row: np.ndarray, choice: np.ndarray, lo: int, hi: int,
+           cand, t: int) -> None:
+    """Write cand over row[lo:hi] where it is strictly larger, with
+    backpointer t; an equal value keeps its earlier, smaller t."""
+    seg = row[lo:hi]
+    better = np.greater(cand, seg)
+    np.copyto(seg, cand, where=better)
+    np.copyto(choice[lo:hi], t, where=better)
+
+
+def _merge_tails(row: np.ndarray, choice: np.ndarray,
+                 tails: List[Optional[Tuple[int, int]]]) -> None:
+    """Fold saturated tails into a filled row.
+
+    tails[s] is the best (value, t) among tails starting at index s; a
+    tail holds its value at every index from its start on.  One sweep
+    takes the running lexicographic max over (value, -t), which is then
+    merged into the row under the same rule.
+    """
+    best_value, best_t = -1, 0
+    values, carries = [], []
+    for tail in tails:
+        if tail is not None and (tail[0] > best_value or (
+                tail[0] == best_value and tail[1] < best_t)):
+            best_value, best_t = tail
+        values.append(best_value)
+        carries.append(best_t)
+    tail_row = np.array(values, dtype=row.dtype)
+    tail_choice = np.array(carries, dtype=np.int64)
+    better = (tail_row > row) | ((tail_row == row) & (tail_choice < choice))
+    np.copyto(row, tail_row, where=better)
+    np.copyto(choice, tail_choice, where=better)
+
+
 def _fill_table(inst: Instance, grid: BudgetGrid, scale: int) -> ValueTable:
     # headroom for scaled money values: serve-everything cost can exceed
     # the grid endpoint, so bound by whichever is larger
     money_max = max((grid.size - 1) * grid.K, contribution_search_limit(inst))
     max_scaled = (money_max + inst.total_demand) * scale
     dtype: object = np.int64 if max_scaled < 2**62 else object
-    size = grid.size
-    points = np.array(grid.points, dtype=dtype)
+    size, K = grid.size, grid.K
+    step_money = K * scale  # scaled money one grid step adds
+    demands = [inst.demand(j) * scale for j in range(inst.n, 0, -1)]
+    ramp = np.arange(size, dtype=dtype)
     rows: List[np.ndarray] = [None] * (inst.m + 1)  # type: ignore[list-item]
     choices: List[np.ndarray] = [None] * inst.m  # type: ignore[list-item]
     rows[inst.m] = np.zeros(size, dtype=dtype)
     for i in range(inst.m, 0, -1):
-        prev = rows[i]
+        facility = inst.facilities[i - 1]
+        open_money = facility.open_cost * scale
+        q_open = -(-facility.open_cost // K)  # first offset paying open_cost
+        # clients right to left: (scaled demand, cost from facility i)
+        links = list(zip(demands, [inst.cost(i, j)
+                                   for j in range(inst.n, 0, -1)]))
         row = np.full(size, -1, dtype=dtype)
         choice = np.zeros(size, dtype=np.int64)
-        for t in range(size):
-            curve = _ServeCurve(inst, i, int(prev[t]) if dtype is np.int64
-                                else prev[t], scale, dtype)
-            cand = prev[t] + curve.evaluate(points[: size - t])
-            better = cand > row[t:]
-            row[t:][better] = cand[better]
-            choice[t:][better] = t
+        tails: List[Optional[Tuple[int, int]]] = [None] * size
+        for t, met in enumerate(rows[i].tolist()):
+            width = size - t
+            if q_open > 0:
+                _offer(row, choice, t, t + min(q_open, width), met, t)
+            # walk the clients right to left past the demand already
+            # met; each one facility i reaches adds a linear segment
+            lo, spent, served = q_open, 0, 0
+            left, cap = met, facility.capacity * scale
+            for demand, c in links:
+                if lo >= width:
+                    break
+                if left >= demand:
+                    left -= demand
+                    continue
+                residual, left = demand - left, 0
+                if cap <= 0 or is_inf(c):
+                    break
+                amt = min(residual, cap)
+                if c > 0:
+                    hi = -(-(open_money + spent + c * amt) // step_money)
+                    end = min(hi, width)
+                    if lo < end:
+                        e0 = lo * step_money - open_money - spent
+                        if e0 % c or (end - lo > 1 and step_money % c):
+                            raise _ScaleError
+                        cand = (ramp[:end - lo] * (step_money // c)
+                                + (met + served + e0 // c))
+                        _offer(row, choice, t + lo, t + end, cand, t)
+                    lo = hi
+                    spent += c * amt
+                served += amt
+                cap -= amt
+                if amt < residual:
+                    break
+            if lo < width:  # saturated from t + lo on: record the start
+                tail = tails[t + lo]
+                if tail is None or met + served > tail[0]:
+                    tails[t + lo] = (met + served, t)
+        _merge_tails(row, choice, tails)
         rows[i - 1] = row
         choices[i - 1] = choice
     return ValueTable(grid, scale, rows, choices)
-
-
-def exact_value_function(inst: Instance, i: int, b: int,
-                         budget_cap: int = 5000) -> Fraction:
-    """Unrounded value function over all integer budgets (test oracle).
-
-    Maximum demand facilities i..m can meet spending at most b, serving
-    right to left.  Enumerates every integer carry-over budget, so it is
-    only usable at desk scale.
-    """
-    if b > budget_cap:
-        raise ValueError(f"budget {b} exceeds enumeration cap {budget_cap}")
-    memo: Dict[Tuple[int, int], Fraction] = {}
-
-    def value(i: int, b: int) -> Fraction:
-        if i == inst.m + 1:
-            return Fraction(0)
-        key = (i, b)
-        if key not in memo:
-            best = Fraction(-1)
-            for bp in range(b + 1):
-                tail = value(i + 1, bp)
-                cand = tail + demand_met(inst, i, tail, b - bp)
-                if cand > best:
-                    best = cand
-            memo[key] = best
-        return memo[key]
-
-    return value(i, b)
 
 
 @dataclass(frozen=True)

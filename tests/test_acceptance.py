@@ -8,14 +8,14 @@ import random
 import statistics
 from fractions import Fraction
 
-from conftest import lot_sizing_brute
+from conftest import exact_value_function, lot_sizing_brute
 from mongecfl import io as mio
 from mongecfl.cli import main
 from mongecfl.extensions import ClientPartition, run_two_class_fptas
 from mongecfl.fptas import (BudgetGrid, build_value_table,
-                            contribution_search_limit, exact_value_function,
-                            find_budget_bound, find_min_contribution,
-                            max_contribution_feasible, run_fptas)
+                            contribution_search_limit, find_budget_bound,
+                            find_min_contribution, max_contribution_feasible,
+                            run_fptas)
 from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
                                random_monge_instance, random_staircase_instance,
                                random_two_class_instance)

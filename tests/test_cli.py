@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 from mongecfl import io as mio
-from mongecfl.cli import main
+from mongecfl.cli import _ratio, main
 from mongecfl.model import Client, Facility, Instance
 
 
@@ -93,6 +93,42 @@ def test_solve_verify_with_oracle(tmp_path, capsys):
     report = json.loads(out)
     assert report["oracle_cost"] == "11"
     assert Fraction(report["ratio"]) <= 2
+
+
+def write_zero_optimum(tmp_path):
+    inst = Instance([Facility(0, 5)], [Client(3)], [[0]])
+    path = tmp_path / "zero.json"
+    mio.save_instance(inst, path)
+    return str(path)
+
+
+def test_solve_verify_with_oracle_zero_optimum(tmp_path, capsys):
+    path = write_zero_optimum(tmp_path)
+    for extra in ([], ["--algorithm", "fptas", "--epsilon", "1/10"]):
+        code, out, _ = run(capsys, "solve", "--input", path,
+                           "--verify-with-oracle", *extra)
+        assert code == 0
+        report = json.loads(out)
+        assert report["cost"] == report["oracle_cost"] == "0"
+        assert report["ratio"] == "1"
+
+
+def test_ratio_undefined_when_only_the_optimum_is_zero():
+    assert _ratio(0, 0) == "1"
+    assert _ratio(Fraction(3, 2), 0) is None
+    assert _ratio(Fraction(3, 2), 1) == "3/2"
+
+
+def test_bench_csv_zero_optimum(tmp_path, capsys):
+    write_zero_optimum(tmp_path)
+    csv_path = tmp_path / "report.csv"
+    code, _, _ = run(capsys, "bench", "--suite", str(tmp_path / "*.json"),
+                     "--epsilons", "1/2", "--csv", str(csv_path))
+    assert code == 0
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["algorithm"] for row in rows] == ["exact", "fptas"]
+    assert all(row["ratio"] == "1" for row in rows)
 
 
 def test_check_pass_and_fail(tmp_path, capsys):

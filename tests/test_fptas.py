@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import exact_value_function
 from mongecfl.fptas import (BudgetGrid, build_value_table,
-                            contribution_search_limit, exact_value_function,
-                            find_budget_bound, find_min_contribution,
-                            max_contribution_feasible, run_fptas, solve_fptas)
+                            contribution_search_limit, find_budget_bound,
+                            find_min_contribution, max_contribution_feasible,
+                            run_fptas, solve_fptas)
 from mongecfl.generate import random_monge_instance
 from mongecfl.model import Client, Facility, Infeasible, Instance
 from mongecfl.oracle import brute_force_optimum
