@@ -127,7 +127,10 @@ def cmd_solve(args) -> int:
     report.cost = str(Fraction(solution.total_cost))
 
     if args.verify_with_oracle:
-        oracle = brute_force_optimum(inst)
+        try:
+            oracle = brute_force_optimum(inst)
+        except ValueError as exc:
+            return _fail(f"cannot verify with the oracle: {exc}", EXIT_INPUT)
         report.oracle_cost = str(Fraction(oracle.optimum))
         report.ratio = _ratio(solution.total_cost, oracle.optimum)
     if args.output:
@@ -147,7 +150,7 @@ def _print_witness(witness) -> None:
 
 def cmd_check(args) -> int:
     try:
-        inst = mio.load_instance(args.input)
+        inst = _load(args.input)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot read instance: {exc}", EXIT_INPUT)
     try:

@@ -10,14 +10,49 @@ serving the release-free class first.
 The budget-vector recurrence is evaluated over the frontier of
 non-dominated (budget vector, demand vector) pairs rather than a dense
 grid-cubed table; the reachable values are identical and desk-scale
-instances stay tractable.
+instances stay tractable.  Each facility level extends every frontier
+entry by "closed" and by every grid spend pair (s1, s2), then prunes.
+
+Serve curves.  For one frontier entry and one class, the demand the
+facility serves right to left, before its capacity binds, is a
+piecewise linear function f of the money spent, with one breakpoint
+(money, amount) per residual client.  It is built once per (entry,
+class); the facility then serves min(cap, f(s1)) of class 1 and
+min(cap - t1, f(s2)) of class 2, so class 1 is evaluated once per s1
+and class 2 once per s2.
+
+Spend loops.  A spend past round_up(saturation money) serves nothing
+more, so its candidate is strictly dominated by the one at that spend;
+the same holds past the spend at which the capacity binds.  Candidates
+whose budget sum exceeds the best cover found so far can neither be
+chosen nor dominate a candidate that can.  None of these is generated,
+and the pruned frontier is the same as with the full grid.
+
+Integer-keyed prune.  A level's demands are scaled by L, the lcm of
+their denominators, so every key is an exact integer.  Candidates are
+stably sorted by (budget sum, b0, b1, b2, -d1, -d2) on int64 keys, or
+on Python ints in an object array when a key does not fit; object keys
+are then replaced row by row by their int64 ranks, which compare the
+same way.  A candidate is kept iff no candidate before it dominates it.
+That keeps the maxima of the vector set (Kung, Luccio & Preparata, JACM
+1975) and, among equal vectors, the first generated.  Dominance is
+tested block by block with numpy broadcasting, against the kept set
+and within the block.
+
+Lazy schedules.  Frontier entries record their spend vector but no
+schedule; extraction rebuilds the schedules along the chain of the
+best cover only.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .exact import Solution
 from .fptas import BudgetGrid, Rational, find_budget_bound
@@ -76,9 +111,10 @@ def check_windowed_monge(inst: Instance,
     Requires every client to carry monotone release dates and deadlines
     (otherwise the instance needs the two-class solver and a ValueError
     says so).  Checks that costs are infinite exactly outside the
-    windows and that every all-finite quadruple satisfies the Monge
-    inequality; together these imply the full Monge property, which is
-    asserted as well.
+    windows, then runs the full Monge check.  Under such windows no
+    quadruple with an infinite entry can violate the inequality (its
+    right-hand side is finite only if its left-hand side is), so the
+    witness is the first all-finite violating quadruple.
     """
     releases = []
     deadlines = []
@@ -97,56 +133,78 @@ def check_windowed_monge(inst: Instance,
                 return WindowViolation(i, j, "infinite cost inside the window")
             if not inside and not is_inf(inst.cost(i, j)):
                 return WindowViolation(i, j, "finite cost outside the window")
-    for h in range(1, inst.m + 1):
-        for i in range(h + 1, inst.m + 1):
-            for j in range(1, inst.n + 1):
-                for k in range(j + 1, inst.n + 1):
-                    quad = (inst.cost(h, j), inst.cost(i, k),
-                            inst.cost(h, k), inst.cost(i, j))
-                    if any(is_inf(c) for c in quad):
-                        continue
-                    if quad[0] + quad[1] > quad[2] + quad[3]:
-                        return MongeWitness(h, i, j, k,
-                                            quad[0] + quad[1],
-                                            quad[2] + quad[3])
     return check_monge_full(inst.costs)
 
 
-def _class_serve(inst: Instance, i: int, members: Tuple[int, ...],
-                 d_met: Amount, money: Fraction, cap: Amount,
-                 ) -> Tuple[Amount, List[Tuple[int, Amount]]]:
-    """Serve one class right-to-left on its own transport budget,
-    sharing the facility capacity; mirrors the scalar serving rules."""
-    residual: List[Amount] = [inst.demand(j) for j in members]
-    left = d_met
-    for idx in range(len(members) - 1, -1, -1):
-        if left <= 0:
-            break
-        take = min(residual[idx], left)
-        residual[idx] -= take
-        left -= take
-    total = Fraction(0)
-    served: List[Tuple[int, Amount]] = []
-    for idx in range(len(members) - 1, -1, -1):
-        r = residual[idx]
-        if r == 0:
-            continue
-        if cap <= 0:
-            break
-        c = inst.cost(i, members[idx])
-        if is_inf(c):
-            break
-        amount = min(r, cap)
-        if c > 0:
-            amount = min(amount, money / c)
-        if amount > 0:
-            served.append((members[idx], Fraction(amount)))
-            total += amount
-            cap -= amount
-            money -= c * amount
-        if amount < r:
-            break
-    return total, served
+class _ServeCurve:
+    """Uncapped right-to-left serve of one client class by facility i.
+
+    ``d_met`` units of the class are already met right to left by later
+    facilities.  Spending money x on the residual clients, from the
+    right, serves f(x); ``money[k]`` and ``amount[k]`` are the money
+    and amount once the first k of them are fully served.  The walk
+    stops at the first infinite cost, and f is constant from
+    ``money[-1]`` (the saturation money) on.
+    """
+
+    __slots__ = ("clients", "money", "amount")
+
+    def __init__(self, inst: Instance, i: int, members: Sequence[int],
+                 d_met: Amount):
+        self.clients: List[Tuple[int, int]] = []  # (client, cost) in order
+        self.money: List[Amount] = [0]
+        self.amount: List[Amount] = [0]
+        left = d_met
+        for j in reversed(members):
+            r = inst.demand(j)
+            if left > 0:
+                take = min(r, left)
+                r -= take
+                left -= take
+            if r == 0:
+                continue
+            c = inst.cost(i, j)
+            if is_inf(c):
+                break
+            self.clients.append((j, c))
+            self.money.append(self.money[-1] + c * r)
+            self.amount.append(self.amount[-1] + r)
+
+    def served(self, money: Amount) -> Amount:
+        """f(money): demand served before the capacity binds."""
+        k = bisect_right(self.money, money) - 1
+        if k == len(self.clients):
+            return self.amount[k]
+        # a zero-cost next client would share money[k], so its cost is > 0
+        return self.amount[k] + Fraction(money - self.money[k],
+                                         self.clients[k][1])
+
+    def schedule(self, money: Amount, cap: Amount,
+                 ) -> List[Tuple[int, Fraction]]:
+        """(client, amount) served with ``money`` and capacity ``cap``."""
+        left = min(cap, self.served(money))
+        out: List[Tuple[int, Fraction]] = []
+        for k, (j, _) in enumerate(self.clients):
+            if left <= 0:
+                break
+            take = min(self.amount[k + 1] - self.amount[k], left)
+            out.append((j, Fraction(take)))
+            left -= take
+        return out
+
+
+def _vector_serve(inst: Instance, partition: ClientPartition, i: int,
+                  d_met: Tuple[Amount, Amount], money1: Amount,
+                  money2: Amount,
+                  ) -> Tuple[List[Tuple[int, Fraction]],
+                             List[Tuple[int, Fraction]]]:
+    """Schedules of an open facility i: class 1 first, then class 2 on
+    the capacity class 1 leaves."""
+    cap: Amount = inst.facilities[i - 1].capacity
+    sched1 = _ServeCurve(inst, i, partition.s1, d_met[0]).schedule(money1, cap)
+    cap -= sum(amount for _, amount in sched1)
+    sched2 = _ServeCurve(inst, i, partition.s2, d_met[1]).schedule(money2, cap)
+    return sched1, sched2
 
 
 def vector_demand_met(inst: Instance, partition: ClientPartition, i: int,
@@ -155,25 +213,14 @@ def vector_demand_met(inst: Instance, partition: ClientPartition, i: int,
                       ) -> Tuple[Amount, Amount]:
     """Demand facility i meets per class given leftover budget vector
     (opening, class-1 transport, class-2 transport)."""
-    total1, total2, _, _ = _vector_serve(inst, partition, i, d_met, remaining)
-    return total1, total2
-
-
-def _vector_serve(inst: Instance, partition: ClientPartition, i: int,
-                  d_met: Tuple[Amount, Amount],
-                  remaining: Tuple[int, int, int]):
     b0, b1, b2 = remaining
     if any(b < 0 for b in remaining) or any(d < 0 for d in d_met):
         raise ValueError("budgets and met demand must be nonnegative")
-    f = inst.facilities[i - 1]
-    if f.open_cost > b0:
-        return Fraction(0), Fraction(0), [], []
-    cap: Amount = f.capacity
-    total1, served1 = _class_serve(inst, i, partition.s1, d_met[0],
-                                   Fraction(b1), cap)
-    total2, served2 = _class_serve(inst, i, partition.s2, d_met[1],
-                                   Fraction(b2), cap - total1)
-    return total1, total2, served1, served2
+    if inst.facilities[i - 1].open_cost > b0:
+        return Fraction(0), Fraction(0)
+    sched1, sched2 = _vector_serve(inst, partition, i, d_met, b1, b2)
+    return (sum((a for _, a in sched1), Fraction(0)),
+            sum((a for _, a in sched2), Fraction(0)))
 
 
 @dataclass
@@ -186,25 +233,57 @@ class _Entry:
     parent: Optional["_Entry"]
     facility: Optional[int]
     spend: Optional[Tuple[int, int, int]]
-    schedule: Optional[Tuple[list, list]]
 
     @property
     def budget_sum(self) -> int:
         return self.b0 + self.b1 + self.b2
 
-    def dominates(self, other: "_Entry") -> bool:
-        return (self.b0 <= other.b0 and self.b1 <= other.b1
-                and self.b2 <= other.b2 and self.d1 >= other.d1
-                and self.d2 >= other.d2)
+
+_PRUNE_BLOCK = 256
 
 
-def _prune(entries: List[_Entry]) -> List[_Entry]:
-    entries.sort(key=lambda e: (e.budget_sum, e.b0, e.b1, e.b2,
-                                -e.d1, -e.d2))
-    kept: List[_Entry] = []
-    for e in entries:
-        if not any(k.dominates(e) for k in kept):
-            kept.append(e)
+def _weakly_below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """M[x, y] is True iff column a[:, x] <= column b[:, y] in every row."""
+    out = a[0][:, None] <= b[0]
+    for r in range(1, len(a)):
+        out &= a[r][:, None] <= b[r]
+    return out
+
+
+def _prune(b0: Sequence[int], b1: Sequence[int], b2: Sequence[int],
+           d1: Sequence[Amount], d2: Sequence[Amount]) -> List[int]:
+    """Indices of the non-dominated candidates, in frontier order.
+
+    Frontier order is (budget sum, b0, b1, b2, -d1, -d2), ties in
+    candidate order.  A candidate is kept iff no candidate before it
+    dominates it (budgets <= and demands >=): an earlier dominator is
+    itself kept or dominated by an earlier kept one.
+    """
+    scale = math.lcm(*{d.denominator for d in d1},
+                     *{d.denominator for d in d2})
+    n1 = [d.numerator * (scale // d.denominator) for d in d1]
+    n2 = [d.numerator * (scale // d.denominator) for d in d2]
+    top = max(max(b0) + max(b1) + max(b2), max(n1), max(n2))
+    dtype = np.int64 if top < 2**63 else object
+    # every row is "smaller is better", so a dominates b iff a <= b
+    keys = np.array([b0, b1, b2, [-x for x in n1], [-x for x in n2]],
+                    dtype=dtype)
+    order = np.lexsort((keys[4], keys[3], keys[2], keys[1], keys[0],
+                        keys[0] + keys[1] + keys[2]))
+    keys = keys[:, order]
+    if dtype is object:
+        # dominance only needs each row's order: compare int64 ranks
+        keys = np.array([np.unique(row, return_inverse=True)[1]
+                         for row in keys])
+    kept_keys = keys[:, :0]
+    kept: List[int] = []
+    for start in range(0, len(order), _PRUNE_BLOCK):
+        block = keys[:, start:start + _PRUNE_BLOCK]
+        alive = np.flatnonzero(~_weakly_below(kept_keys, block).any(axis=0))
+        block = block[:, alive]
+        beaten = np.triu(_weakly_below(block, block), 1).any(axis=0)
+        kept_keys = np.concatenate([kept_keys, block[:, ~beaten]], axis=1)
+        kept.extend(order[start + alive[~beaten]].tolist())
     return kept
 
 
@@ -244,34 +323,47 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
     def covers(e: _Entry) -> bool:
         return e.d1 >= target1 and e.d2 >= target2
 
-    frontier = [_Entry(0, 0, 0, Fraction(0), Fraction(0),
-                       None, None, None, None)]
+    frontier = [_Entry(0, 0, 0, Fraction(0), Fraction(0), None, None, None)]
     best_cover: Optional[_Entry] = None
     for i in range(inst.m, 0, -1):
+        if not frontier:
+            break  # every entry reached the best cover's budget sum
         open_spend = grid.round_up(inst.facilities[i - 1].open_cost)
-        serve_all1 = sum(inst.cost(i, j) * inst.demand(j)
-                         for j in partition.s1 if not is_inf(inst.cost(i, j)))
-        serve_all2 = sum(inst.cost(i, j) * inst.demand(j)
-                         for j in partition.s2 if not is_inf(inst.cost(i, j)))
-        nxt: List[_Entry] = []
+        cap = inst.facilities[i - 1].capacity
+        # no candidate above the best cover's budget sum can matter (and
+        # no budget sum exceeds 3 * endpoint)
+        limit = 3 * endpoint if best_cover is None else best_cover.budget_sum
+        # candidates in _Entry field order, in generation order
+        cands: List[tuple] = []
         for e in frontier:
-            nxt.append(_Entry(e.b0, e.b1, e.b2, e.d1, e.d2,
-                              e, None, None, None))
-            if e.b0 + open_spend > endpoint:
+            cands.append((e.b0, e.b1, e.b2, e.d1, e.d2, e, None, None))
+            b0 = e.b0 + open_spend
+            slack = limit - (b0 + e.b1 + e.b2)
+            if b0 > endpoint or slack < 0:
                 continue
-            max1 = min(endpoint - e.b1, grid.round_up(serve_all1))
-            max2 = min(endpoint - e.b2, grid.round_up(serve_all2))
+            curve1 = _ServeCurve(inst, i, partition.s1, e.d1)
+            curve2 = _ServeCurve(inst, i, partition.s2, e.d2)
+            max1 = min(endpoint - e.b1, grid.round_up(curve1.money[-1]), slack)
+            max2 = min(endpoint - e.b2, grid.round_up(curve2.money[-1]), slack)
+            spends2 = range(0, max2 + 1, K)
+            served2 = [curve2.served(s2) for s2 in spends2]
             for s1 in range(0, max1 + 1, K):
-                for s2 in range(0, max2 + 1, K):
-                    spend = (open_spend, s1, s2)
-                    t1, t2, sched1, sched2 = _vector_serve(
-                        inst, partition, i, (e.d1, e.d2), spend)
-                    if t1 + t2 == 0:
-                        continue
-                    nxt.append(_Entry(e.b0 + open_spend, e.b1 + s1,
-                                      e.b2 + s2, e.d1 + t1, e.d2 + t2,
-                                      e, i, spend, (sched1, sched2)))
-        frontier = _prune(nxt)
+                t1 = min(cap, curve1.served(s1))
+                room = cap - t1
+                d1 = e.d1 + t1
+                for s2, f2 in zip(spends2, served2):
+                    if s1 + s2 > slack:
+                        break
+                    t2 = min(room, f2)
+                    if t1 + t2 != 0:
+                        cands.append((b0, e.b1 + s1, e.b2 + s2, d1, e.d2 + t2,
+                                      e, i, (open_spend, s1, s2)))
+                    if t2 == room:
+                        break
+                if t1 == cap:
+                    break
+        frontier = [_Entry(*cands[k])
+                    for k in _prune(*list(zip(*cands))[:5])]
         for e in frontier:
             if covers(e) and (best_cover is None
                               or (e.budget_sum, e.b0, e.b1, e.b2)
@@ -292,7 +384,9 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
     while e is not None:
         if e.facility is not None:
             open_facilities.add(e.facility)
-            for sched in e.schedule:
+            _, s1, s2 = e.spend
+            for sched in _vector_serve(inst, partition, e.facility,
+                                       (e.parent.d1, e.parent.d2), s1, s2):
                 for j, amount in sched:
                     entries[(e.facility, j)] = (
                         entries.get((e.facility, j), Fraction(0))

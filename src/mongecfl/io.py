@@ -29,6 +29,16 @@ def _cost_from_json(v):
     raise ValueError(f"cost entries must be integers or \"inf\", got {v!r}")
 
 
+def _int_from_json(v, what: str) -> int:
+    if isinstance(v, int):
+        return v
+    raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
+def _optional_int_from_json(v, what: str):
+    return None if v is None else _int_from_json(v, what)
+
+
 def instance_to_dict(inst: Instance) -> dict:
     facilities = [{"open_cost": f.open_cost, "capacity": f.capacity}
                   for f in inst.facilities]
@@ -45,9 +55,12 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    facilities = [Facility(f["open_cost"], f["capacity"])
+    facilities = [Facility(_int_from_json(f["open_cost"], "open_cost"),
+                           _int_from_json(f["capacity"], "capacity"))
                   for f in data["facilities"]]
-    clients = [Client(c["demand"], c.get("release"), c.get("deadline"))
+    clients = [Client(_int_from_json(c["demand"], "demand"),
+                      _optional_int_from_json(c.get("release"), "release"),
+                      _optional_int_from_json(c.get("deadline"), "deadline"))
                for c in data["clients"]]
     costs = [[_cost_from_json(v) for v in row] for row in data["costs"]]
     return Instance(facilities, clients, costs)

@@ -2,16 +2,19 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
 
+from mongecfl.exact import Solution
+from mongecfl.extensions import TwoClassResult
 from mongecfl.fptas import (BudgetGrid, ValueTable, _ScaleError,
-                            contribution_search_limit)
-from mongecfl.kernel import demand_met
-from mongecfl.model import Client, Facility, Instance, is_inf
+                            contribution_search_limit, find_budget_bound)
+from mongecfl.kernel import Flow, demand_met
+from mongecfl.model import Client, Facility, Infeasible, Instance, is_inf
 from mongecfl.reductions import LotSizingInstance
 
 
@@ -201,3 +204,180 @@ def reference_fill_table(inst: Instance, grid: BudgetGrid,
         rows[i - 1] = row
         choices[i - 1] = choice
     return ValueTable(grid, scale, rows, choices)
+
+
+def _reference_class_serve(inst: Instance, i: int, members, d_met, money,
+                           cap):
+    """Serve one class right-to-left on its own transport budget,
+    sharing the facility capacity; mirrors the scalar serving rules."""
+    residual = [inst.demand(j) for j in members]
+    left = d_met
+    for idx in range(len(members) - 1, -1, -1):
+        if left <= 0:
+            break
+        take = min(residual[idx], left)
+        residual[idx] -= take
+        left -= take
+    total = Fraction(0)
+    served = []
+    for idx in range(len(members) - 1, -1, -1):
+        r = residual[idx]
+        if r == 0:
+            continue
+        if cap <= 0:
+            break
+        c = inst.cost(i, members[idx])
+        if is_inf(c):
+            break
+        amount = min(r, cap)
+        if c > 0:
+            amount = min(amount, money / c)
+        if amount > 0:
+            served.append((members[idx], Fraction(amount)))
+            total += amount
+            cap -= amount
+            money -= c * amount
+        if amount < r:
+            break
+    return total, served
+
+
+def reference_vector_serve(inst: Instance, partition, i: int, d_met,
+                           remaining):
+    """(t1, t2, schedule1, schedule2) of facility i on a budget vector."""
+    b0, b1, b2 = remaining
+    f = inst.facilities[i - 1]
+    if f.open_cost > b0:
+        return Fraction(0), Fraction(0), [], []
+    total1, served1 = _reference_class_serve(inst, i, partition.s1, d_met[0],
+                                             Fraction(b1), f.capacity)
+    total2, served2 = _reference_class_serve(inst, i, partition.s2, d_met[1],
+                                             Fraction(b2),
+                                             f.capacity - total1)
+    return total1, total2, served1, served2
+
+
+@dataclass
+class ReferenceEntry:
+    b0: int
+    b1: int
+    b2: int
+    d1: object
+    d2: object
+    parent: Optional["ReferenceEntry"]
+    facility: Optional[int]
+    spend: Optional[Tuple[int, int, int]]
+    schedule: Optional[Tuple[list, list]]
+
+    @property
+    def budget_sum(self) -> int:
+        return self.b0 + self.b1 + self.b2
+
+    def dominates(self, other: "ReferenceEntry") -> bool:
+        return (self.b0 <= other.b0 and self.b1 <= other.b1
+                and self.b2 <= other.b2 and self.d1 >= other.d1
+                and self.d2 >= other.d2)
+
+
+def reference_prune(entries: List[ReferenceEntry]) -> List[ReferenceEntry]:
+    """Stable sort, then keep each entry no kept entry dominates."""
+    entries.sort(key=lambda e: (e.budget_sum, e.b0, e.b1, e.b2,
+                                -e.d1, -e.d2))
+    kept: List[ReferenceEntry] = []
+    for e in entries:
+        if not any(k.dominates(e) for k in kept):
+            kept.append(e)
+    return kept
+
+
+def reference_run_two_class(inst: Instance, partition,
+                            eps) -> TwoClassResult:
+    """Two-class frontier DP by pairwise dominance over ``Fraction``s
+    (reference for ``run_two_class_fptas``).
+
+    Expands every frontier entry by every grid spend pair up to the
+    class's serve-everything cost, recomputes each serve from scratch
+    and stores its schedule.
+    """
+    partition.validate(inst)
+    target1 = sum(inst.demand(j) for j in partition.s1)
+    target2 = sum(inst.demand(j) for j in partition.s2)
+    try:
+        B = find_budget_bound(inst)
+    except Infeasible:
+        B = (sum(f.open_cost for f in inst.facilities)
+             + sum(inst.cost(i, j) * inst.demand(j)
+                   for i in range(1, inst.m + 1)
+                   for j in range(1, inst.n + 1)
+                   if not is_inf(inst.cost(i, j))))
+        if B < 1:
+            B = 1
+    grid = BudgetGrid.for_instance(inst.m, B, eps)
+    K = grid.K
+    endpoint = (grid.size - 1) * K
+
+    def covers(e):
+        return e.d1 >= target1 and e.d2 >= target2
+
+    frontier = [ReferenceEntry(0, 0, 0, Fraction(0), Fraction(0),
+                               None, None, None, None)]
+    best_cover = None
+    for i in range(inst.m, 0, -1):
+        open_spend = grid.round_up(inst.facilities[i - 1].open_cost)
+        serve_all1 = sum(inst.cost(i, j) * inst.demand(j)
+                         for j in partition.s1 if not is_inf(inst.cost(i, j)))
+        serve_all2 = sum(inst.cost(i, j) * inst.demand(j)
+                         for j in partition.s2 if not is_inf(inst.cost(i, j)))
+        nxt = []
+        for e in frontier:
+            nxt.append(ReferenceEntry(e.b0, e.b1, e.b2, e.d1, e.d2,
+                                      e, None, None, None))
+            if e.b0 + open_spend > endpoint:
+                continue
+            max1 = min(endpoint - e.b1, grid.round_up(serve_all1))
+            max2 = min(endpoint - e.b2, grid.round_up(serve_all2))
+            for s1 in range(0, max1 + 1, K):
+                for s2 in range(0, max2 + 1, K):
+                    spend = (open_spend, s1, s2)
+                    t1, t2, sched1, sched2 = reference_vector_serve(
+                        inst, partition, i, (e.d1, e.d2), spend)
+                    if t1 + t2 == 0:
+                        continue
+                    nxt.append(ReferenceEntry(e.b0 + open_spend, e.b1 + s1,
+                                              e.b2 + s2, e.d1 + t1,
+                                              e.d2 + t2, e, i, spend,
+                                              (sched1, sched2)))
+        frontier = reference_prune(nxt)
+        for e in frontier:
+            if covers(e) and (best_cover is None
+                              or (e.budget_sum, e.b0, e.b1, e.b2)
+                              < (best_cover.budget_sum, best_cover.b0,
+                                 best_cover.b1, best_cover.b2)):
+                best_cover = e
+        if best_cover is not None:
+            frontier = [e for e in frontier
+                        if e.budget_sum < best_cover.budget_sum
+                        or e is best_cover]
+    if best_cover is None:
+        raise Infeasible("no feasible solution within the budget grid")
+
+    open_facilities = set()
+    entries = {}
+    transport = Fraction(0)
+    e = best_cover
+    while e is not None:
+        if e.facility is not None:
+            open_facilities.add(e.facility)
+            for sched in e.schedule:
+                for j, amount in sched:
+                    entries[(e.facility, j)] = (
+                        entries.get((e.facility, j), Fraction(0))
+                        + Fraction(amount, inst.demand(j)))
+                    transport += inst.cost(e.facility, j) * amount
+        e = e.parent
+    opening = sum(inst.facilities[i - 1].open_cost for i in open_facilities)
+    solution = Solution(open_facilities, Flow(entries, transport),
+                        opening + transport)
+    return TwoClassResult(solution, best_cover.budget_sum,
+                          (best_cover.b0, best_cover.b1, best_cover.b2),
+                          B, grid)

@@ -113,6 +113,46 @@ def test_solve_verify_with_oracle_zero_optimum(tmp_path, capsys):
         assert report["ratio"] == "1"
 
 
+def one_line_error(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_solve_verify_with_oracle_over_demand_cap(tmp_path, capsys):
+    inst = Instance([Facility(1, 300)], [Client(201)], [[1]])
+    path = tmp_path / "big.json"
+    mio.save_instance(inst, path)
+    code, out, err = run(capsys, "solve", "--input", str(path),
+                         "--verify-with-oracle")
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "oracle" in err
+
+
+def write_raw(tmp_path, costs, open_cost=1):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({
+        "facilities": [{"open_cost": open_cost, "capacity": 5}] * 2,
+        "clients": [{"demand": 1, "release": 1, "deadline": 2}] * 2,
+        "costs": costs}))
+    return str(path)
+
+
+def test_check_ragged_cost_rows(tmp_path, capsys):
+    path = write_raw(tmp_path, [[1, 2], [1]])
+    for mode in ("full", "adjacent", "windowed"):
+        code, _, err = run(capsys, "check", "--input", path, "--mode", mode)
+        assert code == 1
+        assert one_line_error(err) and "dimension mismatch" in err
+
+
+def test_string_open_cost(tmp_path, capsys):
+    path = write_raw(tmp_path, [[1, 2], [1, 1]], open_cost="3")
+    for argv in (["solve"], ["check"]):
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert code == 1 and out == ""
+        assert one_line_error(err) and "open_cost" in err
+
+
 def test_ratio_undefined_when_only_the_optimum_is_zero():
     assert _ratio(0, 0) == "1"
     assert _ratio(Fraction(3, 2), 0) is None

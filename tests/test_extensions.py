@@ -10,7 +10,8 @@ from mongecfl.extensions import (ClientPartition, WindowViolation,
                                  solve_two_class_fptas, vector_demand_met)
 from mongecfl.generate import (random_monge_instance, random_two_class_instance,
                                random_windowed_instance)
-from mongecfl.model import INF, Client, Facility, Instance, MongeWitness
+from mongecfl.model import (INF, Client, Facility, Instance, MongeWitness,
+                            check_monge_full, is_inf)
 from mongecfl.oracle import brute_force_optimum
 from mongecfl.fptas import solve_fptas
 
@@ -93,6 +94,48 @@ def test_windowed_random_instances_pass():
         inst = random_windowed_instance(rng, rng.randint(2, 4),
                                         rng.randint(2, 4))
         assert check_windowed_monge(inst) is None
+
+
+def _finite_quadruples(costs):
+    m, n = len(costs), len(costs[0])
+    return [(h, i, j, k) for h in range(m) for i in range(h + 1, m)
+            for j in range(n) for k in range(j + 1, n)
+            if not any(is_inf(costs[a][b])
+                       for a, b in ((h, j), (i, k), (h, k), (i, j)))]
+
+
+def _first_finite_violation(costs):
+    """First violating all-finite quadruple, in check_monge_full's order."""
+    for h, i, j, k in _finite_quadruples(costs):
+        lhs = costs[h][j] + costs[i][k]
+        rhs = costs[h][k] + costs[i][j]
+        if lhs > rhs:
+            return MongeWitness(h + 1, i + 1, j + 1, k + 1, lhs, rhs)
+    return None
+
+
+def test_windowed_witness_is_first_finite_violation():
+    # under monotone windows a quadruple with an infinite entry never
+    # violates, so the full check finds the first all-finite violation
+    rng = random.Random(4242)
+    perturbed = 0
+    while perturbed < 100:
+        inst = random_windowed_instance(rng, rng.randint(2, 5),
+                                        rng.randint(2, 5))
+        costs = [list(row) for row in inst.costs]
+        quads = _finite_quadruples(costs)
+        if not quads:
+            continue
+        h, i, j, k = rng.choice(quads)
+        a, b = rng.choice(((h, j), (i, k)))
+        costs[a][b] += (costs[h][k] + costs[i][j] - costs[h][j] - costs[i][k]
+                        + rng.randint(1, 5))
+        witness = check_windowed_monge(Instance(inst.facilities,
+                                                inst.clients, costs))
+        assert witness is not None
+        assert witness == _first_finite_violation(costs)
+        assert witness == check_monge_full(costs)
+        perturbed += 1
 
 
 def test_vector_demand_met_ref1(ref1):
