@@ -236,7 +236,10 @@ def cmd_bench(args) -> int:
             continue
         oracle_cost = None
         if inst.m <= args.oracle_max_m:
-            oracle_cost = brute_force_optimum(inst).optimum
+            try:
+                oracle_cost = brute_force_optimum(inst).optimum
+            except ValueError:  # over the oracle's demand cap: no ratio
+                pass
         base = {"instance": path, "m": inst.m, "n": inst.n,
                 "total_demand": inst.total_demand}
 

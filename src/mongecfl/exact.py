@@ -1,19 +1,35 @@
 """Exact dynamic program for polynomially bounded total demand.
 
-State (i, j, d): cheapest way to serve d units at client j plus all
-demand of clients after j, using only facilities i and higher.  For each
-facility we either leave it closed or pick how many units u it serves;
-the Monge property guarantees those u units go to clients j, j+1, ...
-greedily, which the kernel helpers evaluate in closed form.
+State (i, S): cheapest way to serve all demand after the first S units,
+using only facilities i and higher.  Units are numbered in client order,
+so S maps one-to-one onto the classic state (j, d), d units left at
+client j plus all demand of clients after j.  For each facility we either
+leave it closed or pick how many units u it serves; the Monge property
+guarantees those are the next u units in client order, so a choice moves
+the state from S to S + u.
+
+Levels are filled bottom-up, i = m down to 1, keeping two value rows and
+one compact choice row per level.  For each (i, S) the sweep takes
+u = 1, 2, ... one unit at a time and carries the transport cost, so each
+u costs O(1); it stops at the capacity, at the last unit, or before the
+first unit whose cost from i is infinite.  Ties keep the facility
+closed; otherwise the smallest u with a strictly lower cost wins.  Level
+i only covers T - (U_i + ... + U_m) <= S <= U_1 + ... + U_{i-1} (T the
+total demand, U the capacities): below that range the value is infinite,
+and the optimal path from S = 0 never goes above it.  O(m T U_max) time,
+O(T) per choice row, and no recursion, so m is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Set, Tuple, Union
+from itertools import accumulate
+from typing import Dict, List, Set, Tuple, Union
 
-from .kernel import Amount, Flow, greedy_serve
+from .kernel import FULL, Amount, Flow, greedy_serve
 from .model import INF, Cost, Instance, is_inf
 
 DEFAULT_DEMAND_CAP = 10**6
@@ -23,7 +39,7 @@ class DemandCapExceeded(ValueError):
     """Total demand too large for the exact DP; use the FPTAS instead."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solution:
     """Open facilities plus a fractional assignment.
 
@@ -50,9 +66,11 @@ class Solution:
 
 
 class ExactSolver:
-    """Top-down memoized evaluation of the (i, j, d) recurrence.
+    """Bottom-up evaluation of the (i, S) recurrence.
 
-    Each solve owns its memo table; separate solves are independent.
+    Each call to ``solve`` or ``value`` runs its own sweep; ``states`` and
+    ``u_steps`` count the (i, S) states and the u values (finite-cost
+    serves) that the last one swept.
     """
 
     def __init__(self, inst: Instance, demand_cap: int = DEFAULT_DEMAND_CAP):
@@ -61,55 +79,98 @@ class ExactSolver:
                 f"total demand {inst.total_demand} exceeds cap {demand_cap}; "
                 "use the FPTAS for large demands")
         self.inst = inst
-        # suffix_demand[j] = sum of demands of clients j+1..n (1-based j)
-        self.suffix = [0] * (inst.n + 2)
-        for j in range(inst.n - 1, 0, -1):
-            self.suffix[j] = self.suffix[j + 1] + inst.demand(j + 1)
-        self._memo: Dict[Tuple[int, int, int], Cost] = {}
-        # best choice per state: None = leave facility i closed, else u
-        self._choice: Dict[Tuple[int, int, int], Optional[int]] = {}
+        self.total = total = inst.total_demand
+        # 0-based client of each unit, in serving order
+        self._unit_client = [k for k, c in enumerate(inst.clients)
+                             for _ in range(c.demand)]
+        # level i covers low[i] <= S <= reach[i], from the capacity of
+        # facilities 1..i-1 (index i holds U_1 + ... + U_{i-1})
+        before = [0, 0, *accumulate(f.capacity for f in inst.facilities)]
+        spare = before[-1] - total
+        self._low = [max(0, b - spare) for b in before]
+        self._reach = [min(total, b) for b in before]
+        self.states = 0
+        self.u_steps = 0
+
+    def _level(self, i: int, nxt: List[Cost], lo: int,
+               hi: int) -> Tuple[List[Cost], array]:
+        """Row i from row i + 1 over lo <= S <= hi (INF elsewhere), and
+        the chosen u per S in that range (0: facility i stays closed)."""
+        total = self.total
+        f = self.inst.facilities[i - 1]
+        costs = self.inst.costs[i - 1]
+        unit_cost = [costs[k] for k in self._unit_client]
+        # finite_end[S]: first unit at or after S with infinite cost from i
+        finite_end = [total] * (total + 1)
+        end = total
+        for t in range(total - 1, lo - 1, -1):
+            if unit_cost[t] == INF:
+                end = t
+            finite_end[t] = end
+        row: List[Cost] = [INF] * (total + 1)
+        choice = array("q", bytes(8 * max(0, hi - lo + 1)))
+        open_cost, cap = f.open_cost, f.capacity
+        steps = 0
+        for S in range(lo, hi + 1):
+            best = nxt[S]
+            best_u = 0
+            stop = min(S + cap, finite_end[S])
+            cost = open_cost
+            for t in range(S, stop):
+                cost += unit_cost[t]
+                cand = cost + nxt[t + 1]
+                if cand < best:
+                    best = cand
+                    best_u = t + 1 - S
+            steps += stop - S
+            row[S] = best
+            choice[S - lo] = best_u
+        self.states += max(0, hi - lo + 1)
+        self.u_steps += steps
+        return row, choice
+
+    def _last_row(self) -> List[Cost]:
+        """Row m + 1: nothing left to serve costs 0, anything else INF."""
+        row: List[Cost] = [INF] * (self.total + 1)
+        row[self.total] = 0
+        return row
 
     def value(self, i: int, j: int, d: int) -> Cost:
+        """Cheapest way to serve d units at client j plus all demand of
+        clients after j with facilities i..m; INF if impossible."""
         inst = self.inst
         if j == inst.n + 1:
             return 0
-        if i == inst.m + 1:
-            return INF if d + self.suffix[j] > 0 else 0
-        key = (i, j, d)
-        if key in self._memo:
-            return self._memo[key]
-
-        best = self.value(i + 1, j, d)
-        best_u: Optional[int] = None
-        f = inst.facilities[i - 1]
-        u_max = min(f.capacity, d + self.suffix[j])
-        for u in range(1, u_max + 1):
-            serve = greedy_serve(inst, i, u, j, d)
-            if is_inf(serve.transport_cost):
-                continue
-            tail = self.value(i + 1, serve.next_client, serve.demand_remaining)
-            if is_inf(tail):
-                continue
-            cand = f.open_cost + serve.transport_cost + tail
-            if cand < best:
-                best = cand
-                best_u = u
-        self._memo[key] = best
-        self._choice[key] = best_u
-        return best
+        if not (1 <= i <= inst.m + 1 and 1 <= j <= inst.n):
+            raise ValueError("facility or client index out of range")
+        if not 0 <= d <= inst.demand(j):
+            raise ValueError("d must be between 0 and the demand of client j")
+        served = sum(inst.demand(k) for k in range(1, j + 1)) - d
+        self.states = self.u_steps = 0
+        row = self._last_row()
+        for k in range(inst.m, i - 1, -1):
+            row, _ = self._level(k, row, self._low[k], self.total)
+        return row[served]
 
     def solve(self) -> Solution:
         inst = self.inst
-        cost = self.value(1, 1, inst.demand(1))
+        self.states = self.u_steps = 0
+        row = self._last_row()
+        choices: List[array] = [array("q")] * (inst.m + 1)
+        for i in range(inst.m, 0, -1):
+            row, choices[i] = self._level(i, row, self._low[i],
+                                          self._reach[i])
+        cost = row[0]
         if is_inf(cost):
             return Solution(set(), Flow({}, INF), INF)
 
         open_facilities: Set[int] = set()
         entries: Dict[Tuple[int, int], Amount] = {}
         i, j, d = 1, 1, inst.demand(1)
+        served = 0
         while i <= inst.m and j <= inst.n:
-            u = self._choice.get((i, j, d))
-            if u is not None:
+            u = choices[i][served - self._low[i]]
+            if u:
                 open_facilities.add(i)
                 serve = greedy_serve(inst, i, u, j, d)
                 ell = serve.next_client
@@ -123,8 +184,11 @@ class ExactSolver:
                         units[ell] = inst.demand(ell) - serve.demand_remaining
                 for k, amount in units.items():
                     if amount > 0:
-                        entries[(i, k)] = Fraction(amount, inst.demand(k))
+                        demand = inst.demand(k)
+                        entries[(i, k)] = (FULL if amount == demand
+                                           else Fraction(amount, demand))
                 j, d = ell, serve.demand_remaining
+                served += u
             i += 1
         flow = Flow(entries, cost - sum(inst.facilities[i - 1].open_cost
                                         for i in open_facilities))
@@ -133,7 +197,7 @@ class ExactSolver:
 
 def dp_value(inst: Instance, i: int, j: int, d: int,
              demand_cap: int = DEFAULT_DEMAND_CAP) -> Cost:
-    """Value C(i, j, d) of the exact recurrence (fresh memo table)."""
+    """Value C(i, j, d) of the exact recurrence (fresh sweep)."""
     return ExactSolver(inst, demand_cap).value(i, j, d)
 
 

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .exact import Solution
-from .kernel import Amount, Flow, demand_met, serve_schedule
+from .kernel import FULL, Amount, Flow, demand_met, serve_schedule
 from .model import Infeasible, Instance, is_inf
 
 Rational = Union[int, float, str, Fraction]
@@ -360,9 +360,10 @@ def run_fptas(inst: Instance, eps: Rational) -> FptasResult:
         total, served = serve_schedule(inst, i, d_met, b - bp)
         if total > 0:
             open_facilities.add(i)
-            for j, amount in served:
-                entries[(i, j)] = (entries.get((i, j), Fraction(0))
-                                   + Fraction(amount, inst.demand(j)))
+            for j, amount in served:  # each client at most once per i
+                demand = inst.demand(j)
+                entries[(i, j)] = (FULL if amount == demand
+                                   else Fraction(amount, demand))
                 transport += inst.cost(i, j) * amount
         b = bp
     opening = sum(inst.facilities[i - 1].open_cost for i in open_facilities)

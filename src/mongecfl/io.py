@@ -21,16 +21,21 @@ def _cost_to_json(c) -> Union[int, str]:
     return "inf" if is_inf(c) else int(c)
 
 
+def _is_json_int(v) -> bool:
+    """JSON integers only: ``true``/``false`` load as bool, an int subclass."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _cost_from_json(v):
     if v == "inf":
         return INF
-    if isinstance(v, int):
+    if _is_json_int(v):
         return v
     raise ValueError(f"cost entries must be integers or \"inf\", got {v!r}")
 
 
 def _int_from_json(v, what: str) -> int:
-    if isinstance(v, int):
+    if _is_json_int(v):
         return v
     raise ValueError(f"{what} must be an integer, got {v!r}")
 

@@ -17,8 +17,12 @@ from .model import INF, Cost, Instance, is_inf
 
 Amount = Union[int, Fraction]
 
+#: The share of a fully served client.  Solutions hold this one object
+#: instead of a fresh Fraction(1) per entry.
+FULL = Fraction(1)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Flow:
     """A transport plan: (facility, client) -> amount, plus its cost."""
 

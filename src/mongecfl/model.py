@@ -28,7 +28,7 @@ def is_inf(c: Cost) -> bool:
     return c == INF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Facility:
     open_cost: int   # one-time cost to open
     capacity: int    # units of demand it can absorb
@@ -40,14 +40,14 @@ class Facility:
             raise ValueError("capacity must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Client:
     demand: int
     release: Optional[int] = None   # first facility index that may serve it
     deadline: Optional[int] = None  # last facility index that may serve it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MongeWitness:
     """A quadruple violating c[h][j] + c[i][k] <= c[h][k] + c[i][j].
 
@@ -146,19 +146,60 @@ def check_monge_full(costs: Sequence[Sequence[Cost]]) -> Optional[MongeWitness]:
     """Check every (h<i, j<k) quadruple; None means the matrix is Monge.
 
     Returns the lexicographically first (h, i, j, k) witness otherwise.
-    O(m^2 n^2); works with INF entries.
+    Works with INF entries, in O(m^2 n): each row pair (h, i) is decided
+    by one right-to-left pass (``_pair_violated``), and only the first
+    violating pair is rescanned quadruple by quadruple for its witness.
     """
     m = len(costs)
     n = len(costs[0]) if m else 0
     for h in range(m):
         for i in range(h + 1, m):
-            for j in range(n):
-                for k in range(j + 1, n):
-                    lhs = costs[h][j] + costs[i][k]
-                    rhs = costs[h][k] + costs[i][j]
-                    if lhs > rhs:
-                        return MongeWitness(h + 1, i + 1, j + 1, k + 1, lhs, rhs)
+            if _pair_violated(costs[h], costs[i], n):
+                return _first_witness(costs, h, i, n)
     return None
+
+
+def _pair_violated(upper: Sequence[Cost], lower: Sequence[Cost],
+                   n: int) -> bool:
+    """Whether some j < k has upper[j] + lower[k] > upper[k] + lower[j].
+
+    With k > j ranging over the clients already passed, a violation at
+    j needs lower[j] finite and then one of:
+    - upper[j] = INF and some upper[k] finite (INF lhs, finite rhs);
+    - upper[j] finite and some k with upper[k] finite, lower[k] = INF;
+    - all four finite and upper[j] - lower[j] > upper[k] - lower[k],
+      i.e. more than the least finite row difference so far.
+    """
+    upper_finite = False     # some k with upper[k] finite
+    lower_inf_only = False   # some k with upper[k] finite, lower[k] = INF
+    least = INF              # min upper[k] - lower[k] over all-finite k
+    for j in range(n - 1, -1, -1):
+        a, b = upper[j], lower[j]
+        if a == INF:
+            if b != INF and upper_finite:
+                return True
+        elif b == INF:
+            upper_finite = lower_inf_only = True
+        else:
+            diff = a - b
+            if lower_inf_only or least < diff:
+                return True
+            upper_finite = True
+            if diff < least:
+                least = diff
+    return False
+
+
+def _first_witness(costs: Sequence[Sequence[Cost]], h: int, i: int,
+                   n: int) -> MongeWitness:
+    """The first violating (j, k) of row pair (h, i), 0-based rows."""
+    for j in range(n):
+        for k in range(j + 1, n):
+            lhs = costs[h][j] + costs[i][k]
+            rhs = costs[h][k] + costs[i][j]
+            if lhs > rhs:
+                return MongeWitness(h + 1, i + 1, j + 1, k + 1, lhs, rhs)
+    raise AssertionError("row pair has no violating quadruple")
 
 
 def check_monge_adjacent(costs: Sequence[Sequence[Cost]]) -> Optional[MongeWitness]:

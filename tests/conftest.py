@@ -9,12 +9,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import pytest
 
-from mongecfl.exact import Solution
+from mongecfl.exact import DEFAULT_DEMAND_CAP, DemandCapExceeded, Solution
 from mongecfl.extensions import TwoClassResult
 from mongecfl.fptas import (BudgetGrid, ValueTable, _ScaleError,
                             contribution_search_limit, find_budget_bound)
-from mongecfl.kernel import Flow, demand_met
-from mongecfl.model import Client, Facility, Infeasible, Instance, is_inf
+from mongecfl.kernel import Amount, Flow, demand_met, greedy_serve
+from mongecfl.model import (INF, Client, Cost, Facility, Infeasible,
+                            Instance, MongeWitness, is_inf)
 from mongecfl.reductions import LotSizingInstance
 
 
@@ -381,3 +382,106 @@ def reference_run_two_class(inst: Instance, partition,
     return TwoClassResult(solution, best_cover.budget_sum,
                           (best_cover.b0, best_cover.b1, best_cover.b2),
                           B, grid)
+
+
+class ReferenceExactSolver:
+    """Top-down memoized evaluation of the (i, j, d) recurrence
+    (reference for ``ExactSolver``).
+
+    Each solve owns its memo table; separate solves are independent.
+    """
+
+    def __init__(self, inst: Instance, demand_cap: int = DEFAULT_DEMAND_CAP):
+        if inst.total_demand > demand_cap:
+            raise DemandCapExceeded(
+                f"total demand {inst.total_demand} exceeds cap {demand_cap}; "
+                "use the FPTAS for large demands")
+        self.inst = inst
+        # suffix_demand[j] = sum of demands of clients j+1..n (1-based j)
+        self.suffix = [0] * (inst.n + 2)
+        for j in range(inst.n - 1, 0, -1):
+            self.suffix[j] = self.suffix[j + 1] + inst.demand(j + 1)
+        self._memo: Dict[Tuple[int, int, int], Cost] = {}
+        # best choice per state: None = leave facility i closed, else u
+        self._choice: Dict[Tuple[int, int, int], Optional[int]] = {}
+
+    def value(self, i: int, j: int, d: int) -> Cost:
+        inst = self.inst
+        if j == inst.n + 1:
+            return 0
+        if i == inst.m + 1:
+            return INF if d + self.suffix[j] > 0 else 0
+        key = (i, j, d)
+        if key in self._memo:
+            return self._memo[key]
+
+        best = self.value(i + 1, j, d)
+        best_u: Optional[int] = None
+        f = inst.facilities[i - 1]
+        u_max = min(f.capacity, d + self.suffix[j])
+        for u in range(1, u_max + 1):
+            serve = greedy_serve(inst, i, u, j, d)
+            if is_inf(serve.transport_cost):
+                continue
+            tail = self.value(i + 1, serve.next_client, serve.demand_remaining)
+            if is_inf(tail):
+                continue
+            cand = f.open_cost + serve.transport_cost + tail
+            if cand < best:
+                best = cand
+                best_u = u
+        self._memo[key] = best
+        self._choice[key] = best_u
+        return best
+
+    def solve(self) -> Solution:
+        inst = self.inst
+        cost = self.value(1, 1, inst.demand(1))
+        if is_inf(cost):
+            return Solution(set(), Flow({}, INF), INF)
+
+        open_facilities = set()
+        entries: Dict[Tuple[int, int], Amount] = {}
+        i, j, d = 1, 1, inst.demand(1)
+        while i <= inst.m and j <= inst.n:
+            u = self._choice.get((i, j, d))
+            if u is not None:
+                open_facilities.add(i)
+                serve = greedy_serve(inst, i, u, j, d)
+                ell = serve.next_client
+                if ell == j:
+                    units = {j: d - serve.demand_remaining}
+                else:
+                    units = {j: d}
+                    for k in range(j + 1, min(ell, inst.n + 1)):
+                        units[k] = inst.demand(k)
+                    if ell <= inst.n:
+                        units[ell] = inst.demand(ell) - serve.demand_remaining
+                for k, amount in units.items():
+                    if amount > 0:
+                        entries[(i, k)] = Fraction(amount, inst.demand(k))
+                j, d = ell, serve.demand_remaining
+            i += 1
+        flow = Flow(entries, cost - sum(inst.facilities[i - 1].open_cost
+                                        for i in open_facilities))
+        return Solution(open_facilities, flow, cost)
+
+
+def reference_check_monge_full(costs) -> Optional[MongeWitness]:
+    """Check every (h<i, j<k) quadruple; None means the matrix is Monge
+    (reference for ``check_monge_full``).
+
+    Returns the lexicographically first (h, i, j, k) witness otherwise.
+    O(m^2 n^2); works with INF entries.
+    """
+    m = len(costs)
+    n = len(costs[0]) if m else 0
+    for h in range(m):
+        for i in range(h + 1, m):
+            for j in range(n):
+                for k in range(j + 1, n):
+                    lhs = costs[h][j] + costs[i][k]
+                    rhs = costs[h][k] + costs[i][j]
+                    if lhs > rhs:
+                        return MongeWitness(h + 1, i + 1, j + 1, k + 1, lhs, rhs)
+    return None

@@ -171,6 +171,37 @@ def test_bench_csv_zero_optimum(tmp_path, capsys):
     assert all(row["ratio"] == "1" for row in rows)
 
 
+def test_bench_over_oracle_demand_cap(tmp_path, capsys):
+    inst = Instance([Facility(1, 300)], [Client(201)], [[1]])
+    mio.save_instance(inst, tmp_path / "big.json")
+    csv_path = tmp_path / "report.csv"
+    code, _, _ = run(capsys, "bench", "--suite", str(tmp_path / "*.json"),
+                     "--epsilons", "1/2", "--csv", str(csv_path))
+    assert code == 0
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["algorithm"] for row in rows] == ["exact", "fptas"]
+    assert rows[0]["cost"] == "202"
+    assert all(row["oracle_cost"] == row["ratio"] == "" for row in rows)
+
+
+def test_json_booleans_rejected(tmp_path, capsys):
+    cost_path = write_raw(tmp_path, [[1, True], [1, 1]])
+    for argv in (["solve"], ["check"]):
+        code, out, err = run(capsys, *argv, "--input", cost_path)
+        assert code == 1 and out == ""
+        assert one_line_error(err) and "cost" in err
+    data = json.loads((tmp_path / "raw.json").read_text())
+    data["costs"] = [[1, 2], [1, 1]]
+    data["facilities"][0] = {"open_cost": 1, "capacity": True}
+    int_path = tmp_path / "bool_capacity.json"
+    int_path.write_text(json.dumps(data))
+    for argv in (["solve"], ["check"]):
+        code, out, err = run(capsys, *argv, "--input", str(int_path))
+        assert code == 1 and out == ""
+        assert one_line_error(err) and "capacity" in err
+
+
 def test_check_pass_and_fail(tmp_path, capsys):
     path = write_ref1(tmp_path)
     code, out, _ = run(capsys, "check", "--input", path)

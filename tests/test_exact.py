@@ -99,3 +99,16 @@ def test_staircase_against_oracle_small():
 def test_recompute_cost_counts_openings(ref1):
     solution = Solution({1}, solve_exact(ref1).assignment, 11)
     assert solution.recompute_cost(ref1) == 11
+
+
+def test_many_facilities_no_recursion_limit():
+    # 1,500 facilities of capacity 2 at opening cost 1 and three clients
+    # of demand 2 at zero transport cost: three facilities must open, and
+    # ties keep facilities closed, so the last three open.
+    m = 1500
+    inst = Instance([Facility(1, 2)] * m, [Client(2)] * 3, [[0, 0, 0]] * m)
+    solution = solve_exact(inst)
+    assert solution.total_cost == 3
+    assert solution.open == {m - 2, m - 1, m}
+    assert solution.assignment.entries == {(m - 2, 1): 1, (m - 1, 2): 1,
+                                           (m, 3): 1}
