@@ -5,7 +5,7 @@ budget-grid FPTAS for general demands, lot-sizing reductions, windowed
 extensions, and an independent brute-force oracle for verification.
 """
 
-from .exact import DemandCapExceeded, ExactSolver, Solution, dp_value, solve_exact
+from .exact import DemandCapExceeded, ExactSolver, Solution, solve_exact
 from .extensions import (ClientPartition, check_windowed_monge,
                          run_two_class_fptas, solve_two_class_fptas,
                          vector_demand_met)
@@ -27,8 +27,8 @@ __all__ = [
     "Infeasible", "Instance", "LotSizingInstance", "MongeWitness",
     "OracleResult", "Solution", "ValueTable", "brute_force_optimum",
     "build_value_table", "check_monge_adjacent", "check_monge_full",
-    "check_windowed_monge", "demand_met", "dp_value",
-    "find_budget_bound", "find_min_contribution", "greedy_serve",
+    "check_windowed_monge", "demand_met", "find_budget_bound",
+    "find_min_contribution", "greedy_serve",
     "greedy_transport", "is_inf", "lot_sizing_to_cfl",
     "max_contribution_feasible", "min_cost_assignment", "multi_item_to_cfl",
     "residual_profile", "run_fptas", "run_two_class_fptas", "serve_schedule",

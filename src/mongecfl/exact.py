@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Set, Tuple, Union
 
-from .kernel import FULL, Amount, Flow, greedy_serve
+from .kernel import FULL, Amount, Flow, greedy_serve, shared
 from .model import INF, Cost, Instance, is_inf
 
 DEFAULT_DEMAND_CAP = 10**6
@@ -185,20 +185,14 @@ class ExactSolver:
                 for k, amount in units.items():
                     if amount > 0:
                         demand = inst.demand(k)
-                        entries[(i, k)] = (FULL if amount == demand
-                                           else Fraction(amount, demand))
+                        entries[shared((i, k))] = (FULL if amount == demand
+                                                 else Fraction(amount, demand))
                 j, d = ell, serve.demand_remaining
                 served += u
             i += 1
         flow = Flow(entries, cost - sum(inst.facilities[i - 1].open_cost
                                         for i in open_facilities))
         return Solution(open_facilities, flow, cost)
-
-
-def dp_value(inst: Instance, i: int, j: int, d: int,
-             demand_cap: int = DEFAULT_DEMAND_CAP) -> Cost:
-    """Value C(i, j, d) of the exact recurrence (fresh sweep)."""
-    return ExactSolver(inst, demand_cap).value(i, j, d)
 
 
 def solve_exact(inst: Instance, demand_cap: int = DEFAULT_DEMAND_CAP) -> Solution:

@@ -26,8 +26,9 @@ into at most n+2 index ranges of q:
   where the scaled served demand is A + extra(q) / r.  extra(q) is the
   scaled money spent past the segment's breakpoint, so
   extra(q) = e0 + (q - lo)*K*scale with e0 = extra(lo).  The segment is
-  written as one strided slice (arange * step + const) and merged into
-  the row where it is larger;
+  written as one strided slice (arange * step + const, with arange *
+  step built once per rate and level) and merged into the row where it
+  is larger;
 * the saturated tail past the last breakpoint, where served demand is
   a constant A_L.  Free (zero-cost) clients have empty index ranges and
   only add to the next segment's A.
@@ -38,12 +39,31 @@ if the segment has more than one point, r divides K*scale (consecutive
 points differ by K*scale).  So a fill raises on exactly the scales
 where some evaluated point would have an inexact division.
 
-Saturated tails are not written point by point.  The tail of (i, t) is
-the constant prev[t] + A_L at every index from t + lo_L on, so it is
-recorded at that start index only.  After all t, one sweep per row
-takes the running lexicographic max over (value, -t) and merges it into
-the segment result under the same rule: a larger value wins, and equal
-values keep the smallest carry-over t.
+Row i is the lexicographic max over (value, -t) of all these offers: a
+larger value wins, and equal values keep the smallest carry-over t.
+Segments are offered in increasing t and replace only a strictly
+larger value, which builds that max over the segments; as the max does
+not depend on the order of the offers, the other two kinds are merged
+once per row, after all t:
+
+* saturated tails.  The tail of (i, t) is the constant prev[t] + A_L at
+  every index from t + lo_L on, so it is recorded at that start index
+  only; one sweep takes the running lexicographic max and merges it in.
+* pre-open ranges.  At index s the pre-open offers come from the t in
+  (s - q_open, s] with value prev[t].  prev is nondecreasing in t
+  (more budget never meets less demand), so their max is prev[s] from
+  the smallest such t with prev[t] = prev[s]: max(run_start(s),
+  s - q_open + 1), run_start(s) the first index of the run of equal
+  values that holds s.  One vectorised merge per row.
+
+Only the first t of each run of equal values in prev is walked.  If
+prev[t] = prev[t - 1], both offsets walk the same serve curve f, so the
+offer of t at s, prev[t] + f(s - t), is at most that of t - 1,
+prev[t] + f(s - t + 1) (f is nondecreasing), and t - 1 wins ties.
+Every segment of t has the same e0 as the matching segment of t - 1 and
+a range no longer than it, so t raises ``_ScaleError`` only if t - 1
+already did: the skipped offsets change neither the table nor the
+fills that escalate.
 """
 
 from __future__ import annotations
@@ -56,7 +76,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .exact import Solution
-from .kernel import FULL, Amount, Flow, demand_met, serve_schedule
+from .kernel import FULL, Amount, Flow, demand_met, serve_schedule, shared
 from .model import Infeasible, Instance, is_inf
 
 Rational = Union[int, float, str, Fraction]
@@ -185,6 +205,7 @@ class ValueTable:
     scale: int
     rows: List[np.ndarray]
     choices: List[np.ndarray]
+    curves: int = 0  # (facility, carry-over) serve curves the fill walked
 
     def value(self, i: int, b: int) -> Fraction:
         return Fraction(int(self.rows[i - 1][self.grid.index(b)]), self.scale)
@@ -200,14 +221,21 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     budget b'.
 
     Each (facility, carry-over budget) serve curve is evaluated one
-    segment at a time: a pre-open range, one strided slice per linear
-    piece, and a saturated tail that is deferred to a per-row running
-    max (see the module docstring).  A linear piece
-    extra(q) = e0 + (q - lo)*K*scale divides exactly by its rate r at
-    every point iff r | e0 and, for pieces of two or more points,
-    r | K*scale, so inexactness is detected once per piece.  Deferred
-    tails merge under the lexicographic max over (value, -t), which
+    segment at a time: one strided slice per linear piece, and a
+    saturated tail that is deferred to a per-row running max (see the
+    module docstring).  A linear piece extra(q) = e0 + (q - lo)*K*scale
+    divides exactly by its rate r at every point iff r | e0 and, for
+    pieces of two or more points, r | K*scale, so inexactness is
+    detected once per piece.  The pre-open ranges of all carry-overs
+    are one vectorised offer per row.  Deferred tails and pre-open
+    ranges merge under the lexicographic max over (value, -t), which
     keeps the tie-break toward the smallest carry-over budget.
+
+    Only the first carry-over of each run of equal values in the row
+    below builds a serve curve: a later one of the same run walks the
+    same curve one grid step later, so it never wins and raises
+    ``_ScaleError`` only where the first one already did.  ``curves``
+    counts the curves the successful fill walked.
 
     Values are stored as integers scaled by lcm(costs)**k.  Denominators
     only enter through the budget-limited partial serve, one cost factor
@@ -237,6 +265,16 @@ def _offer(row: np.ndarray, choice: np.ndarray, lo: int, hi: int,
     np.copyto(choice[lo:hi], t, where=better)
 
 
+def _merge(row: np.ndarray, choice: np.ndarray, values: np.ndarray,
+           carries: np.ndarray) -> None:
+    """Merge (values, carries) into (row, choice) under the lexicographic
+    max over (value, -t): a larger value wins, an equal value keeps the
+    smaller carry-over."""
+    better = (values > row) | ((values == row) & (carries < choice))
+    np.copyto(row, values, where=better)
+    np.copyto(choice, carries, where=better)
+
+
 def _merge_tails(row: np.ndarray, choice: np.ndarray,
                  tails: List[Optional[Tuple[int, int]]]) -> None:
     """Fold saturated tails into a filled row.
@@ -254,11 +292,8 @@ def _merge_tails(row: np.ndarray, choice: np.ndarray,
             best_value, best_t = tail
         values.append(best_value)
         carries.append(best_t)
-    tail_row = np.array(values, dtype=row.dtype)
-    tail_choice = np.array(carries, dtype=np.int64)
-    better = (tail_row > row) | ((tail_row == row) & (tail_choice < choice))
-    np.copyto(row, tail_row, where=better)
-    np.copyto(choice, tail_choice, where=better)
+    _merge(row, choice, np.array(values, dtype=row.dtype),
+           np.array(carries, dtype=np.int64))
 
 
 def _fill_table(inst: Instance, grid: BudgetGrid, scale: int) -> ValueTable:
@@ -271,9 +306,11 @@ def _fill_table(inst: Instance, grid: BudgetGrid, scale: int) -> ValueTable:
     step_money = K * scale  # scaled money one grid step adds
     demands = [inst.demand(j) * scale for j in range(inst.n, 0, -1)]
     ramp = np.arange(size, dtype=dtype)
+    index = np.arange(size, dtype=np.int64)
     rows: List[np.ndarray] = [None] * (inst.m + 1)  # type: ignore[list-item]
     choices: List[np.ndarray] = [None] * inst.m  # type: ignore[list-item]
     rows[inst.m] = np.zeros(size, dtype=dtype)
+    curves = 0
     for i in range(inst.m, 0, -1):
         facility = inst.facilities[i - 1]
         open_money = facility.open_cost * scale
@@ -281,13 +318,18 @@ def _fill_table(inst: Instance, grid: BudgetGrid, scale: int) -> ValueTable:
         # clients right to left: (scaled demand, cost from facility i)
         links = list(zip(demands, [inst.cost(i, j)
                                    for j in range(inst.n, 0, -1)]))
+        prev = rows[i]
         row = np.full(size, -1, dtype=dtype)
         choice = np.zeros(size, dtype=np.int64)
         tails: List[Optional[Tuple[int, int]]] = [None] * size
-        for t, met in enumerate(rows[i].tolist()):
+        slopes: Dict[int, np.ndarray] = {}  # rate r -> ramp * (K*scale // r)
+        # prev is nondecreasing; only the first offset of each run of
+        # equal values can win (see the module docstring)
+        starts = np.concatenate(([0], np.flatnonzero(prev[1:] != prev[:-1])
+                                 + 1))
+        curves += len(starts)
+        for t, met in zip(starts.tolist(), prev[starts].tolist()):
             width = size - t
-            if q_open > 0:
-                _offer(row, choice, t, t + min(q_open, width), met, t)
             # walk the clients right to left past the demand already
             # met; each one facility i reaches adds a linear segment
             lo, spent, served = q_open, 0, 0
@@ -309,8 +351,9 @@ def _fill_table(inst: Instance, grid: BudgetGrid, scale: int) -> ValueTable:
                         e0 = lo * step_money - open_money - spent
                         if e0 % c or (end - lo > 1 and step_money % c):
                             raise _ScaleError
-                        cand = (ramp[:end - lo] * (step_money // c)
-                                + (met + served + e0 // c))
+                        if c not in slopes:
+                            slopes[c] = ramp * (step_money // c)
+                        cand = slopes[c][:end - lo] + (met + served + e0 // c)
                         _offer(row, choice, t + lo, t + end, cand, t)
                     lo = hi
                     spent += c * amt
@@ -322,10 +365,18 @@ def _fill_table(inst: Instance, grid: BudgetGrid, scale: int) -> ValueTable:
                 tail = tails[t + lo]
                 if tail is None or met + served > tail[0]:
                     tails[t + lo] = (met + served, t)
+        if q_open > 0:
+            # pre-open: prev[s] from the smallest offset t in
+            # (s - q_open, s] with prev[t] = prev[s]
+            run_start = np.zeros(size, dtype=np.int64)
+            run_start[starts] = starts
+            np.maximum.accumulate(run_start, out=run_start)
+            _merge(row, choice, prev,
+                   np.maximum(run_start, index - (q_open - 1)))
         _merge_tails(row, choice, tails)
         rows[i - 1] = row
         choices[i - 1] = choice
-    return ValueTable(grid, scale, rows, choices)
+    return ValueTable(grid, scale, rows, choices, curves)
 
 
 @dataclass(frozen=True)
@@ -362,8 +413,8 @@ def run_fptas(inst: Instance, eps: Rational) -> FptasResult:
             open_facilities.add(i)
             for j, amount in served:  # each client at most once per i
                 demand = inst.demand(j)
-                entries[(i, j)] = (FULL if amount == demand
-                                   else Fraction(amount, demand))
+                entries[shared((i, j))] = (FULL if amount == demand
+                                         else Fraction(amount, demand))
                 transport += inst.cost(i, j) * amount
         b = bp
     opening = sum(inst.facilities[i - 1].open_cost for i in open_facilities)

@@ -81,10 +81,16 @@ def load_instance(path) -> Instance:
 
 
 def lot_sizing_from_dict(data: dict) -> LotSizingInstance:
-    orders = [(o["cost"], o["capacity"]) for o in data["orders"]]
-    demands = [(d["period"], d.get("item", 0), d["amount"])
+    orders = [(_int_from_json(o["cost"], "cost"),
+               _int_from_json(o["capacity"], "capacity"))
+              for o in data["orders"]]
+    demands = [(_int_from_json(d["period"], "period"),
+                _int_from_json(d.get("item", 0), "item"),
+                _int_from_json(d["amount"], "amount"))
                for d in data["demands"]]
-    return LotSizingInstance(data["horizon"], orders, demands, data["holding"])
+    holding = [_int_from_json(h, "holding") for h in data["holding"]]
+    return LotSizingInstance(_int_from_json(data["horizon"], "horizon"),
+                             orders, demands, holding)
 
 
 def lot_sizing_to_dict(ls: LotSizingInstance) -> dict:

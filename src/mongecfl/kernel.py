@@ -11,15 +11,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple, TypeVar, Union
 
 from .model import INF, Cost, Instance, is_inf
 
 Amount = Union[int, Fraction]
+T = TypeVar("T")
 
 #: The share of a fully served client.  Solutions hold this one object
 #: instead of a fresh Fraction(1) per entry.
 FULL = Fraction(1)
+
+
+@lru_cache(maxsize=1 << 14)
+def shared(value: T) -> T:
+    """``value``, or an equal immutable value passed in before.
+
+    Solutions pass their (facility, client) entry keys and reductions
+    their cost rows, facilities and clients through here, so results
+    built from the same data share these objects instead of holding
+    copies.  Only for values whose equal copies are interchangeable
+    (no mix of equal ints and floats).
+    """
+    return value
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .kernel import shared
 from .model import INF, Client, Cost, Facility, Instance
 
 
@@ -78,13 +79,13 @@ def _build(ls: LotSizingInstance,
     costs = []
     for t, (c_open, u) in enumerate(ls.orders, start=1):
         if u == 0:
-            facilities.append(Facility(c_open, 1))
-            costs.append([INF] * len(client_periods))
+            facilities.append(shared(Facility(c_open, 1)))
+            costs.append(shared((INF,) * len(client_periods)))
         else:
-            facilities.append(Facility(c_open, u))
-            costs.append([_holding_cost(ls, t, period)
-                          for period, _ in client_periods])
-    clients = [Client(amount) for _, amount in client_periods]
+            facilities.append(shared(Facility(c_open, u)))
+            costs.append(shared(tuple(_holding_cost(ls, t, period)
+                                      for period, _ in client_periods)))
+    clients = [shared(Client(amount)) for _, amount in client_periods]
     return Instance(facilities, clients, costs)
 
 

@@ -256,6 +256,38 @@ def test_convert_lot_sizing(tmp_path, capsys):
     assert data["costs"] == [[0, 2], ["inf", 0]]
 
 
+def test_convert_lot_sizing_rejects_non_integer_fields(tmp_path, capsys):
+    good = {
+        "horizon": 2,
+        "orders": [{"cost": 1, "capacity": 5}, {"cost": 1, "capacity": 5}],
+        "demands": [{"period": 1, "item": 0, "amount": 2},
+                    {"period": 2, "item": 0, "amount": 3}],
+        "holding": [2]}
+    bad_values = [
+        (("orders", 0, "cost"), True), (("orders", 0, "capacity"), "5"),
+        (("orders", 1, "cost"), 2.9), (("horizon",), True),
+        (("demands", 0, "period"), 1.0), (("demands", 1, "item"), False),
+        (("demands", 1, "amount"), "3"), (("holding", 0), True)]
+    ls_path = tmp_path / "ls.json"
+    out_path = tmp_path / "inst.json"
+    for keys, value in bad_values:
+        data = json.loads(json.dumps(good))
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        field = keys[-1] if isinstance(keys[-1], str) else keys[0]
+        ls_path.write_text(json.dumps(data))
+        for source in ("lot-sizing", "multi-item"):
+            code, out, err = run(capsys, "convert", "--from", source,
+                                 "--input", str(ls_path),
+                                 "--output", str(out_path))
+            assert code == 1 and out == "", (keys, value, source)
+            assert one_line_error(err), (keys, value, source)
+            assert field in err
+        assert not out_path.exists()
+
+
 def test_convert_multi_item_file_with_items_needs_multi_mode(tmp_path, capsys):
     ls_path = tmp_path / "ls.json"
     ls_path.write_text(json.dumps({

@@ -4,23 +4,24 @@ import random
 
 import pytest
 
-from mongecfl.exact import (DemandCapExceeded, Solution, dp_value, solve_exact)
+from mongecfl.exact import (DemandCapExceeded, ExactSolver, Solution,
+                            solve_exact)
 from mongecfl.generate import random_monge_instance, random_staircase_instance
 from mongecfl.model import Client, Facility, Instance, is_inf
 from mongecfl.oracle import brute_force_optimum
 
 
 def test_dp_value_examples(ref1):
-    assert is_inf(dp_value(ref1, 3, 1, 2))   # past the last facility
-    assert dp_value(ref1, 2, 1, 2) == 19     # open facility 2, u=5
-    assert dp_value(ref1, 1, 1, 2) == 11
+    assert is_inf(ExactSolver(ref1).value(3, 1, 2))   # past the last facility
+    assert ExactSolver(ref1).value(2, 1, 2) == 19     # open facility 2, u=5
+    assert ExactSolver(ref1).value(1, 1, 2) == 11
 
 
 def test_dp_value_base_cases(ref1):
-    assert dp_value(ref1, 1, 3, 0) == 0      # no clients left
-    assert dp_value(ref1, 3, 2, 0) == 0      # nothing left to serve
+    assert ExactSolver(ref1).value(1, 3, 0) == 0      # no clients left
+    assert ExactSolver(ref1).value(3, 2, 0) == 0      # nothing left to serve
     # demand left past the last facility is infeasible
-    assert is_inf(dp_value(ref1, 3, 2, 3))
+    assert is_inf(ExactSolver(ref1).value(3, 2, 3))
 
 
 def test_solve_ref1(ref1):

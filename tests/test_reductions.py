@@ -1,10 +1,13 @@
 """Lot-sizing and single-demand reductions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import lot_sizing_brute
+from mongecfl.exact import solve_exact
+from mongecfl.fptas import solve_fptas
 from mongecfl.generate import random_lot_sizing
 from mongecfl.model import INF, Client, Facility, check_monge_full, is_inf
 from mongecfl.oracle import brute_force_optimum
@@ -136,3 +139,19 @@ def test_reduction_value_matches_direct_brute_force():
             assert is_inf(oracle)
         else:
             assert oracle == direct
+
+
+def test_results_from_equal_data_share_their_parts():
+    """Two reductions of the same data, and the solutions built from
+    them, share cost rows, facilities, clients and entry keys."""
+    ls = LotSizingInstance(3, [(4, 5), (2, 0), (1, 5)],
+                           [(1, 0, 2), (2, 0, 3), (3, 0, 4)], [1, 2])
+    a, b = lot_sizing_to_cfl(ls), lot_sizing_to_cfl(ls)
+    assert a == b
+    for part in ("costs", "facilities", "clients"):
+        assert all(x is y for x, y in zip(getattr(a, part), getattr(b, part)))
+    for solve in (solve_exact, lambda inst: solve_fptas(inst, Fraction(1, 2))):
+        keys_a = list(solve(a).assignment.entries)
+        keys_b = list(solve(b).assignment.entries)
+        assert keys_a == keys_b and keys_a
+        assert all(x is y for x, y in zip(keys_a, keys_b))
