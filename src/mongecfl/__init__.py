@@ -13,7 +13,7 @@ from .fptas import (BudgetGrid, FptasResult, ValueTable, build_value_table,
                     find_budget_bound, find_min_contribution,
                     max_contribution_feasible, run_fptas, solve_fptas)
 from .kernel import (Flow, GreedyServeResult, demand_met, greedy_serve,
-                     greedy_transport, residual_profile, serve_schedule)
+                     serve_schedule)
 from .model import (INF, Client, Facility, Infeasible, Instance, MongeWitness,
                     check_monge_adjacent, check_monge_full, is_inf,
                     validate_instance)
@@ -28,10 +28,9 @@ __all__ = [
     "OracleResult", "Solution", "ValueTable", "brute_force_optimum",
     "build_value_table", "check_monge_adjacent", "check_monge_full",
     "check_windowed_monge", "demand_met", "find_budget_bound",
-    "find_min_contribution", "greedy_serve",
-    "greedy_transport", "is_inf", "lot_sizing_to_cfl",
+    "find_min_contribution", "greedy_serve", "is_inf", "lot_sizing_to_cfl",
     "max_contribution_feasible", "min_cost_assignment", "multi_item_to_cfl",
-    "residual_profile", "run_fptas", "run_two_class_fptas", "serve_schedule",
+    "run_fptas", "run_two_class_fptas", "serve_schedule",
     "single_demand_to_cfl", "solve_exact", "solve_fptas",
     "solve_two_class_fptas", "validate_instance", "vector_demand_met",
 ]

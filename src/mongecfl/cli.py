@@ -86,6 +86,12 @@ def cmd_solve(args) -> int:
         return _fail(f"cannot read instance: {exc}", EXIT_INPUT)
     if args.algorithm in ("fptas", "two-class") and args.epsilon is None:
         return _fail("--epsilon is required for this algorithm", EXIT_INPUT)
+    partition = ClientPartition(range(1, inst.n + 1), ())
+    if args.algorithm == "two-class" and args.partition:
+        try:
+            partition = mio.load_partition(args.partition)
+        except (OSError, ValueError, KeyError) as exc:
+            return _fail(f"cannot read partition: {exc}", EXIT_INPUT)
 
     report = RunReport(algorithm=args.algorithm, instance=_digest(args.input),
                        cost="inf")
@@ -105,11 +111,6 @@ def cmd_solve(args) -> int:
             report.grid_size = result.grid.size
             report.grid_budget = result.grid_budget
         else:
-            if args.partition:
-                data = json.loads(Path(args.partition).read_text("utf-8"))
-                partition = ClientPartition(data["s1"], data["s2"])
-            else:
-                partition = ClientPartition(range(1, inst.n + 1), ())
             result2 = run_two_class_fptas(inst, partition,
                                           Fraction(args.epsilon))
             solution = result2.solution

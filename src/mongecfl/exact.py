@@ -27,7 +27,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Set, Tuple, Union
+from typing import Dict, Iterable, List, Set, Tuple, Union
 
 from .kernel import FULL, Amount, Flow, greedy_serve, shared
 from .model import INF, Cost, Instance, is_inf
@@ -51,6 +51,29 @@ class Solution:
     open: Set[int]
     assignment: Flow
     total_cost: Union[Amount, float]
+
+    @classmethod
+    def from_served(cls, inst: Instance,
+                    served: Iterable[Tuple[int, int, Amount]]) -> "Solution":
+        """The solution in which facility i serves ``units`` of client j,
+        for each (i, j, units).
+
+        Zero amounts are dropped, and exactly the facilities that serve
+        are open.  Each (i, j) appears at most once and has a finite
+        cost.  Integer amounts and costs give an integer total cost.
+        """
+        entries: Dict[Tuple[int, int], Amount] = {}
+        transport: Amount = 0
+        for i, j, units in served:
+            if units == 0:
+                continue
+            demand = inst.demand(j)
+            entries[shared((i, j))] = (FULL if units == demand
+                                       else Fraction(units, demand))
+            transport += inst.cost(i, j) * units
+        opened = {i for i, _ in entries}
+        opening = sum(inst.facilities[i - 1].open_cost for i in opened)
+        return cls(opened, Flow(entries, transport), opening + transport)
 
     def recompute_cost(self, inst: Instance) -> Union[Amount, float]:
         total: Union[Amount, float] = sum(
@@ -164,35 +187,22 @@ class ExactSolver:
         if is_inf(cost):
             return Solution(set(), Flow({}, INF), INF)
 
-        open_facilities: Set[int] = set()
-        entries: Dict[Tuple[int, int], Amount] = {}
+        schedule: List[Tuple[int, int, int]] = []
         i, j, d = 1, 1, inst.demand(1)
         served = 0
         while i <= inst.m and j <= inst.n:
             u = choices[i][served - self._low[i]]
             if u:
-                open_facilities.add(i)
                 serve = greedy_serve(inst, i, u, j, d)
-                ell = serve.next_client
-                if ell == j:
-                    units = {j: d - serve.demand_remaining}
-                else:
-                    units = {j: d}
-                    for k in range(j + 1, min(ell, inst.n + 1)):
-                        units[k] = inst.demand(k)
-                    if ell <= inst.n:
-                        units[ell] = inst.demand(ell) - serve.demand_remaining
-                for k, amount in units.items():
-                    if amount > 0:
-                        demand = inst.demand(k)
-                        entries[shared((i, k))] = (FULL if amount == demand
-                                                 else Fraction(amount, demand))
-                j, d = ell, serve.demand_remaining
+                ell, left = serve.next_client, serve.demand_remaining
+                for k in range(j, min(ell, inst.n) + 1):
+                    units = d if k == j else inst.demand(k)
+                    schedule.append((i, k, units - left if k == ell
+                                     else units))
+                j, d = ell, left
                 served += u
             i += 1
-        flow = Flow(entries, cost - sum(inst.facilities[i - 1].open_cost
-                                        for i in open_facilities))
-        return Solution(open_facilities, flow, cost)
+        return Solution.from_served(inst, schedule)
 
 
 def solve_exact(inst: Instance, demand_cap: int = DEFAULT_DEMAND_CAP) -> Solution:

@@ -16,10 +16,10 @@ entry by "closed" and by every grid spend pair (s1, s2), then prunes.
 Serve curves.  For one frontier entry and one class, the demand the
 facility serves right to left, before its capacity binds, is a
 piecewise linear function f of the money spent, with one breakpoint
-(money, amount) per residual client.  It is built once per (entry,
-class); the facility then serves min(cap, f(s1)) of class 1 and
-min(cap - t1, f(s2)) of class 2, so class 1 is evaluated once per s1
-and class 2 once per s2.
+(money, amount) per residual client: a ``kernel.ServeCurve`` over the
+class's clients.  It is built once per (entry, class); the facility
+then serves min(cap, f(s1)) of class 1 and min(cap - t1, f(s2)) of
+class 2, so class 1 is evaluated once per s1 and class 2 once per s2.
 
 Spend loops.  A spend past round_up(saturation money) serves nothing
 more, so its candidate is strictly dominated by the one at that spend;
@@ -47,16 +47,15 @@ best cover only.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .exact import Solution
 from .fptas import BudgetGrid, Rational, find_budget_bound
-from .kernel import Amount, Flow
+from .kernel import Amount, ServeCurve
 from .model import Infeasible, Instance, MongeWitness, check_monge_full, is_inf
 
 
@@ -136,63 +135,6 @@ def check_windowed_monge(inst: Instance,
     return check_monge_full(inst.costs)
 
 
-class _ServeCurve:
-    """Uncapped right-to-left serve of one client class by facility i.
-
-    ``d_met`` units of the class are already met right to left by later
-    facilities.  Spending money x on the residual clients, from the
-    right, serves f(x); ``money[k]`` and ``amount[k]`` are the money
-    and amount once the first k of them are fully served.  The walk
-    stops at the first infinite cost, and f is constant from
-    ``money[-1]`` (the saturation money) on.
-    """
-
-    __slots__ = ("clients", "money", "amount")
-
-    def __init__(self, inst: Instance, i: int, members: Sequence[int],
-                 d_met: Amount):
-        self.clients: List[Tuple[int, int]] = []  # (client, cost) in order
-        self.money: List[Amount] = [0]
-        self.amount: List[Amount] = [0]
-        left = d_met
-        for j in reversed(members):
-            r = inst.demand(j)
-            if left > 0:
-                take = min(r, left)
-                r -= take
-                left -= take
-            if r == 0:
-                continue
-            c = inst.cost(i, j)
-            if is_inf(c):
-                break
-            self.clients.append((j, c))
-            self.money.append(self.money[-1] + c * r)
-            self.amount.append(self.amount[-1] + r)
-
-    def served(self, money: Amount) -> Amount:
-        """f(money): demand served before the capacity binds."""
-        k = bisect_right(self.money, money) - 1
-        if k == len(self.clients):
-            return self.amount[k]
-        # a zero-cost next client would share money[k], so its cost is > 0
-        return self.amount[k] + Fraction(money - self.money[k],
-                                         self.clients[k][1])
-
-    def schedule(self, money: Amount, cap: Amount,
-                 ) -> List[Tuple[int, Fraction]]:
-        """(client, amount) served with ``money`` and capacity ``cap``."""
-        left = min(cap, self.served(money))
-        out: List[Tuple[int, Fraction]] = []
-        for k, (j, _) in enumerate(self.clients):
-            if left <= 0:
-                break
-            take = min(self.amount[k + 1] - self.amount[k], left)
-            out.append((j, Fraction(take)))
-            left -= take
-        return out
-
-
 def _vector_serve(inst: Instance, partition: ClientPartition, i: int,
                   d_met: Tuple[Amount, Amount], money1: Amount,
                   money2: Amount,
@@ -201,9 +143,9 @@ def _vector_serve(inst: Instance, partition: ClientPartition, i: int,
     """Schedules of an open facility i: class 1 first, then class 2 on
     the capacity class 1 leaves."""
     cap: Amount = inst.facilities[i - 1].capacity
-    sched1 = _ServeCurve(inst, i, partition.s1, d_met[0]).schedule(money1, cap)
+    sched1 = ServeCurve(inst, i, partition.s1, d_met[0]).schedule(money1, cap)
     cap -= sum(amount for _, amount in sched1)
-    sched2 = _ServeCurve(inst, i, partition.s2, d_met[1]).schedule(money2, cap)
+    sched2 = ServeCurve(inst, i, partition.s2, d_met[1]).schedule(money2, cap)
     return sched1, sched2
 
 
@@ -341,8 +283,8 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
             slack = limit - (b0 + e.b1 + e.b2)
             if b0 > endpoint or slack < 0:
                 continue
-            curve1 = _ServeCurve(inst, i, partition.s1, e.d1)
-            curve2 = _ServeCurve(inst, i, partition.s2, e.d2)
+            curve1 = ServeCurve(inst, i, partition.s1, e.d1)
+            curve2 = ServeCurve(inst, i, partition.s2, e.d2)
             max1 = min(endpoint - e.b1, grid.round_up(curve1.money[-1]), slack)
             max2 = min(endpoint - e.b2, grid.round_up(curve2.money[-1]), slack)
             spends2 = range(0, max2 + 1, K)
@@ -377,25 +319,16 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
     if best_cover is None:
         raise Infeasible("no feasible solution within the budget grid")
 
-    open_facilities = set()
-    entries: Dict[Tuple[int, int], Amount] = {}
-    transport: Amount = Fraction(0)
+    served: List[Tuple[int, int, Amount]] = []
     e: Optional[_Entry] = best_cover
     while e is not None:
         if e.facility is not None:
-            open_facilities.add(e.facility)
             _, s1, s2 = e.spend
             for sched in _vector_serve(inst, partition, e.facility,
                                        (e.parent.d1, e.parent.d2), s1, s2):
-                for j, amount in sched:
-                    entries[(e.facility, j)] = (
-                        entries.get((e.facility, j), Fraction(0))
-                        + Fraction(amount, inst.demand(j)))
-                    transport += inst.cost(e.facility, j) * amount
+                served += [(e.facility, j, amount) for j, amount in sched]
         e = e.parent
-    opening = sum(inst.facilities[i - 1].open_cost for i in open_facilities)
-    solution = Solution(open_facilities, Flow(entries, transport),
-                        opening + transport)
+    solution = Solution.from_served(inst, served)
     return TwoClassResult(solution, best_cover.budget_sum,
                           (best_cover.b0, best_cover.b1, best_cover.b2),
                           B, grid)

@@ -76,7 +76,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .exact import Solution
-from .kernel import FULL, Amount, Flow, demand_met, serve_schedule, shared
+from .kernel import Amount, demand_met, serve_schedule
 from .model import Infeasible, Instance, is_inf
 
 Rational = Union[int, float, str, Fraction]
@@ -401,25 +401,14 @@ def run_fptas(inst: Instance, eps: Rational) -> FptasResult:
         raise Infeasible("no feasible solution within the budget grid")
     budget = int(hits[0]) * grid.K
 
-    open_facilities = set()
-    entries: Dict[Tuple[int, int], Amount] = {}
-    transport: Amount = Fraction(0)
+    served: List[Tuple[int, int, Amount]] = []
     b = budget
     for i in range(1, inst.m + 1):
         bp = table.choice(i, b)
-        d_met = table.value(i + 1, bp)
-        total, served = serve_schedule(inst, i, d_met, b - bp)
-        if total > 0:
-            open_facilities.add(i)
-            for j, amount in served:  # each client at most once per i
-                demand = inst.demand(j)
-                entries[shared((i, j))] = (FULL if amount == demand
-                                         else Fraction(amount, demand))
-                transport += inst.cost(i, j) * amount
+        _, schedule = serve_schedule(inst, i, table.value(i + 1, bp), b - bp)
+        served += [(i, j, amount) for j, amount in schedule]
         b = bp
-    opening = sum(inst.facilities[i - 1].open_cost for i in open_facilities)
-    solution = Solution(open_facilities, Flow(entries, transport),
-                        opening + transport)
+    solution = Solution.from_served(inst, served)
     return FptasResult(solution, budget, B, grid, table)
 
 

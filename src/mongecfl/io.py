@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Union
 
 from .exact import Solution
+from .extensions import ClientPartition
 from .model import INF, Client, Facility, Instance, is_inf
 from .reductions import LotSizingInstance
 
@@ -44,6 +45,24 @@ def _optional_int_from_json(v, what: str):
     return None if v is None else _int_from_json(v, what)
 
 
+def _object_from_json(v, what: str) -> dict:
+    if isinstance(v, dict):
+        return v
+    raise ValueError(f"{what} must be an object, got {type(v).__name__}")
+
+
+def _list_from_json(v, what: str) -> list:
+    if isinstance(v, list):
+        return v
+    raise ValueError(f"{what} must be a list, got {type(v).__name__}")
+
+
+def _objects_from_json(data: dict, field: str) -> list:
+    """data[field] as a list of objects."""
+    return [_object_from_json(v, f"each {field} entry")
+            for v in _list_from_json(data[field], field)]
+
+
 def instance_to_dict(inst: Instance) -> dict:
     facilities = [{"open_cost": f.open_cost, "capacity": f.capacity}
                   for f in inst.facilities]
@@ -60,14 +79,17 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    data = _object_from_json(data, "an instance")
     facilities = [Facility(_int_from_json(f["open_cost"], "open_cost"),
                            _int_from_json(f["capacity"], "capacity"))
-                  for f in data["facilities"]]
+                  for f in _objects_from_json(data, "facilities")]
     clients = [Client(_int_from_json(c["demand"], "demand"),
                       _optional_int_from_json(c.get("release"), "release"),
                       _optional_int_from_json(c.get("deadline"), "deadline"))
-               for c in data["clients"]]
-    costs = [[_cost_from_json(v) for v in row] for row in data["costs"]]
+               for c in _objects_from_json(data, "clients")]
+    costs = [[_cost_from_json(v)
+              for v in _list_from_json(row, "each costs row")]
+             for row in _list_from_json(data["costs"], "costs")]
     return Instance(facilities, clients, costs)
 
 
@@ -81,14 +103,16 @@ def load_instance(path) -> Instance:
 
 
 def lot_sizing_from_dict(data: dict) -> LotSizingInstance:
+    data = _object_from_json(data, "a lot-sizing instance")
     orders = [(_int_from_json(o["cost"], "cost"),
                _int_from_json(o["capacity"], "capacity"))
-              for o in data["orders"]]
+              for o in _objects_from_json(data, "orders")]
     demands = [(_int_from_json(d["period"], "period"),
                 _int_from_json(d.get("item", 0), "item"),
                 _int_from_json(d["amount"], "amount"))
-               for d in data["demands"]]
-    holding = [_int_from_json(h, "holding") for h in data["holding"]]
+               for d in _objects_from_json(data, "demands")]
+    holding = [_int_from_json(h, "holding")
+               for h in _list_from_json(data["holding"], "holding")]
     return LotSizingInstance(_int_from_json(data["horizon"], "horizon"),
                              orders, demands, holding)
 
@@ -110,6 +134,15 @@ def load_lot_sizing(path) -> LotSizingInstance:
 def save_lot_sizing(ls: LotSizingInstance, path) -> None:
     Path(path).write_text(json.dumps(lot_sizing_to_dict(ls), indent=1) + "\n",
                           encoding="utf-8")
+
+
+def load_partition(path) -> ClientPartition:
+    """A two-class client partition: an object with integer lists s1, s2."""
+    data = _object_from_json(json.loads(Path(path).read_text("utf-8")),
+                             "a partition")
+    return ClientPartition(*([_int_from_json(j, f"each {field} entry")
+                              for j in _list_from_json(data[field], field)]
+                             for field in ("s1", "s2")))
 
 
 def _rational_str(x) -> str:

@@ -1,14 +1,23 @@
-"""Greedy primitives shared by the exact DP and the budget-grid DP.
+"""Greedy primitives shared by the solvers.
 
-The Monge property lets both dynamic programs assign demand greedily:
-the transport kernel walks facilities and clients in increasing index
-order, and the value-function helpers serve remaining demand from the
-last client backward.  Everything here is a pure function over an
-immutable Instance; demand amounts are exact rationals throughout.
+The Monge property lets every dynamic program assign demand greedily.
+``greedy_serve`` walks clients left to right from a given unit; the
+exact DP's extraction uses it.  ``ServeCurve`` is the one ``Fraction``
+right-to-left serve walk: an open facility serves the demand later
+facilities left, from the last client backward, until its money or its
+capacity runs out or it reaches an infinite cost.  Its callers are
+``serve_schedule`` and ``demand_met`` (the FPTAS bound search and
+extraction) and the two-class frontier and extraction in
+``extensions``.  The FPTAS table fill walks the same curve in scaled
+integers, inline, as its hot loop.
+
+Everything here is a pure function over an immutable Instance; amounts
+are exact rationals throughout.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,56 +53,12 @@ class Flow:
     entries: Dict[Tuple[int, int], Amount]
     cost: Union[Amount, float]  # rational, or INF if an inf edge carries flow
 
-    def recompute_cost(self, costs: Sequence[Sequence[Cost]]):
-        total: Amount = 0
-        for (i, j), x in self.entries.items():
-            if x == 0:
-                continue
-            c = costs[i - 1][j - 1]
-            if is_inf(c):
-                return INF
-            total += c * x
-        return total
-
 
 @dataclass(frozen=True)
 class GreedyServeResult:
     next_client: int        # first client with demand left, n+1 if none
     demand_remaining: int   # units still unserved at next_client
     transport_cost: Cost
-
-
-def greedy_transport(supplies: Sequence[int], demands: Sequence[int],
-                     costs: Sequence[Sequence[Cost]]) -> Flow:
-    """Solve a balanced transportation problem with Monge costs.
-
-    Walks facilities and clients in increasing order, sending as much as
-    possible from the current client to the current facility.  Optimal
-    whenever the costs are Monge.  If positive flow must cross an INF
-    edge the flow is still returned with cost INF (structural
-    infeasibility).
-    """
-    if sum(supplies) != sum(demands):
-        raise ValueError("total supply must equal total demand")
-    m, n = len(supplies), len(demands)
-    s = list(supplies)
-    d = list(demands)
-    entries: Dict[Tuple[int, int], Amount] = {}
-    cost: Union[Amount, float] = 0
-    i = j = 0
-    while i < m and j < n:
-        amt = min(s[i], d[j])
-        if amt > 0:
-            entries[(i + 1, j + 1)] = amt
-            c = costs[i][j]
-            cost = INF if is_inf(c) else cost + c * amt
-        s[i] -= amt
-        d[j] -= amt
-        if d[j] == 0:
-            j += 1
-        else:
-            i += 1
-    return Flow(entries, cost)
 
 
 def _remaining_after(inst: Instance, j: int, d: int) -> int:
@@ -149,23 +114,71 @@ def greedy_serve(inst: Instance, i: int, u: int, j: int, d: int) -> GreedyServeR
     return GreedyServeResult(ell, remaining, cost)
 
 
-def residual_profile(inst: Instance, d_total: Amount) -> List[Amount]:
-    """Per-client demand left after d_total units were met right-to-left.
+class ServeCurve:
+    """Uncapped right-to-left serve of one client class by facility i.
 
-    Clients n, n-1, ... are stripped until d_total is exhausted; at most
-    one client ends up partially served.
+    ``d_met`` units of the class are already met right to left by later
+    facilities.  Spending money x on the residual clients, from the
+    right, serves f(x); ``money[k]`` and ``amount[k]`` are the money
+    and amount once the first k of them are fully served.  The walk
+    stops at the first infinite cost, and f is constant from
+    ``money[-1]`` (the saturation money) on.
     """
-    if d_total < 0 or d_total > inst.total_demand:
-        raise ValueError("d_total must be between 0 and the total demand")
-    residual: List[Amount] = [inst.demand(j) for j in range(1, inst.n + 1)]
-    left = d_total
-    for idx in range(inst.n - 1, -1, -1):
-        if left <= 0:
-            break
-        take = min(residual[idx], left)
-        residual[idx] -= take
-        left -= take
-    return residual
+
+    __slots__ = ("clients", "money", "amount")
+
+    def __init__(self, inst: Instance, i: int, members: Sequence[int],
+                 d_met: Amount):
+        self.clients: List[Tuple[int, int]] = []  # (client, cost) in order
+        self.money: List[Amount] = [0]
+        self.amount: List[Amount] = [0]
+        left = d_met
+        for j in reversed(members):
+            r = inst.demand(j)
+            if left > 0:
+                take = min(r, left)
+                r -= take
+                left -= take
+            if r == 0:
+                continue
+            c = inst.cost(i, j)
+            if is_inf(c):
+                break
+            self.clients.append((j, c))
+            self.money.append(self.money[-1] + c * r)
+            self.amount.append(self.amount[-1] + r)
+
+    def served(self, money: Amount) -> Amount:
+        """f(money): demand served before the capacity binds."""
+        k = bisect_right(self.money, money) - 1
+        if k == len(self.clients):
+            return self.amount[k]
+        # a zero-cost next client would share money[k], so its cost is > 0
+        return self.amount[k] + Fraction(money - self.money[k],
+                                         self.clients[k][1])
+
+    def schedule(self, money: Amount, cap: Amount,
+                 ) -> List[Tuple[int, Fraction]]:
+        """(client, amount) served with ``money`` and capacity ``cap``."""
+        left = min(cap, self.served(money))
+        out: List[Tuple[int, Fraction]] = []
+        for k, (j, _) in enumerate(self.clients):
+            if left <= 0:
+                break
+            take = min(self.amount[k + 1] - self.amount[k], left)
+            out.append((j, Fraction(take)))
+            left -= take
+        return out
+
+
+def _money_after_opening(inst: Instance, i: int, d_met: Amount,
+                         budget: Amount) -> Amount:
+    """Budget left once facility i is open; negative if it cannot open."""
+    if d_met < 0 or budget < 0:
+        raise ValueError("d_met and budget must be nonnegative")
+    if d_met > inst.total_demand:
+        raise ValueError("d_met must not exceed the total demand")
+    return budget - inst.facilities[i - 1].open_cost
 
 
 def serve_schedule(inst: Instance, i: int, d_met: Amount,
@@ -178,40 +191,19 @@ def serve_schedule(inst: Instance, i: int, d_met: Amount,
     or whose cost from i is infinite; fractional amounts are exact
     rationals.
     """
-    if d_met < 0 or budget < 0:
-        raise ValueError("d_met and budget must be nonnegative")
-    f = inst.facilities[i - 1]
-    if budget < f.open_cost:
+    money = _money_after_opening(inst, i, d_met, budget)
+    if money < 0:
         return Fraction(0), []
-    money = Fraction(budget - f.open_cost)
-    cap: Amount = f.capacity
-    residual = residual_profile(inst, d_met)
-    served: List[Tuple[int, Amount]] = []
-    total = Fraction(0)
-    for idx in range(inst.n - 1, -1, -1):
-        r = residual[idx]
-        if r == 0:
-            continue
-        if cap <= 0:
-            break
-        c = inst.cost(i, idx + 1)
-        if is_inf(c):
-            break
-        amount = min(r, cap)
-        if c > 0:
-            amount = min(amount, money / c)
-        if amount > 0:
-            served.append((idx + 1, Fraction(amount)))
-            total += amount
-            cap -= amount
-            money -= c * amount
-        if amount < r:  # blocked mid-client: right-to-left serving may not skip
-            break
-    return total, served
+    served = ServeCurve(inst, i, range(1, inst.n + 1), d_met).schedule(
+        money, inst.facilities[i - 1].capacity)
+    return sum((amount for _, amount in served), Fraction(0)), served
 
 
 def demand_met(inst: Instance, i: int, d_met: Amount, budget: Amount) -> Amount:
     """Demand facility i can meet with the given budget, after d_met was
     already met right-to-left by later facilities.  Never exceeds U_i."""
-    total, _ = serve_schedule(inst, i, d_met, budget)
-    return total
+    money = _money_after_opening(inst, i, d_met, budget)
+    if money < 0:
+        return Fraction(0)
+    return min(inst.facilities[i - 1].capacity,
+               ServeCurve(inst, i, range(1, inst.n + 1), d_met).served(money))

@@ -4,7 +4,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pytest
@@ -70,6 +70,54 @@ def lot_sizing_brute(ls: LotSizingInstance):
             if ok and (best is None or cost < best):
                 best = cost
     return best
+
+
+def greedy_transport(supplies: Sequence[int], demands: Sequence[int],
+                     costs: Sequence[Sequence[Cost]]) -> Flow:
+    """Solve a balanced transportation problem with Monge costs (the
+    subject of criterion 6).
+
+    Walks facilities and clients in increasing order, sending as much as
+    possible from the current client to the current facility.  Optimal
+    whenever the costs are Monge.  If positive flow must cross an INF
+    edge the flow is still returned with cost INF (structural
+    infeasibility).
+    """
+    if sum(supplies) != sum(demands):
+        raise ValueError("total supply must equal total demand")
+    m, n = len(supplies), len(demands)
+    s = list(supplies)
+    d = list(demands)
+    entries: Dict[Tuple[int, int], Amount] = {}
+    cost: Union[Amount, float] = 0
+    i = j = 0
+    while i < m and j < n:
+        amt = min(s[i], d[j])
+        if amt > 0:
+            entries[(i + 1, j + 1)] = amt
+            c = costs[i][j]
+            cost = INF if is_inf(c) else cost + c * amt
+        s[i] -= amt
+        d[j] -= amt
+        if d[j] == 0:
+            j += 1
+        else:
+            i += 1
+    return Flow(entries, cost)
+
+
+def recompute_flow_cost(flow: Flow, costs: Sequence[Sequence[Cost]]):
+    """Transport cost of ``flow`` read as amounts (not fractions) per
+    (facility, client); INF if a positive amount uses an INF edge."""
+    total: Amount = 0
+    for (i, j), x in flow.entries.items():
+        if x == 0:
+            continue
+        c = costs[i - 1][j - 1]
+        if is_inf(c):
+            return INF
+        total += c * x
+    return total
 
 
 def feasible_monge_instance(rng: random.Random, max_demand: int = 6,

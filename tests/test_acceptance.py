@@ -8,7 +8,8 @@ import random
 import statistics
 from fractions import Fraction
 
-from conftest import exact_value_function, lot_sizing_brute
+from conftest import (exact_value_function, greedy_transport,
+                      lot_sizing_brute)
 from mongecfl import io as mio
 from mongecfl.cli import main
 from mongecfl.extensions import ClientPartition, run_two_class_fptas
@@ -19,7 +20,6 @@ from mongecfl.fptas import (BudgetGrid, build_value_table,
 from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
                                random_monge_instance, random_staircase_instance,
                                random_two_class_instance)
-from mongecfl.kernel import greedy_transport
 from mongecfl.model import Client, Facility, Instance, is_inf
 from mongecfl.oracle import brute_force_optimum, min_cost_assignment
 from mongecfl.exact import solve_exact

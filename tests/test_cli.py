@@ -3,6 +3,7 @@
 import csv
 import json
 from fractions import Fraction
+from pathlib import Path
 
 from mongecfl import io as mio
 from mongecfl.cli import _ratio, main
@@ -373,3 +374,68 @@ def test_bench_empty_suite(tmp_path, capsys):
         header = next(reader)
         assert header[0] == "instance"
         assert list(reader) == []
+
+
+def test_malformed_instance_json_rejected(tmp_path, capsys):
+    good = json.loads(Path(write_ref1(tmp_path)).read_text())
+    bad_values = [("facilities", 5), ("facilities", [5]), ("clients", "2"),
+                  ("clients", [[2]]), ("costs", 5), ("costs", [5, 5])]
+    path = tmp_path / "bad.json"
+    out_path = tmp_path / "converted.json"
+    commands = (["solve"], ["check"],
+                ["convert", "--from", "single-demand", "--output",
+                 str(out_path)])
+    for field, value in bad_values:
+        path.write_text(json.dumps(dict(good, **{field: value})))
+        for argv in commands:
+            code, out, err = run(capsys, *argv, "--input", str(path))
+            assert code == 1 and out == "", (field, value, argv)
+            assert one_line_error(err) and field in err, (field, value, argv)
+    path.write_text("[1]")
+    for argv in commands:
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 1 and out == "" and one_line_error(err), argv
+    assert not out_path.exists()
+
+
+def test_malformed_lot_sizing_json_rejected(tmp_path, capsys):
+    good = {"horizon": 2,
+            "orders": [{"cost": 1, "capacity": 5}, {"cost": 1, "capacity": 5}],
+            "demands": [{"period": 2, "item": 0, "amount": 3}],
+            "holding": [2]}
+    bad_values = [("holding", 5), ("orders", 5), ("orders", [5, 5]),
+                  ("demands", {"period": 2}), ("demands", [3])]
+    ls_path = tmp_path / "ls.json"
+    out_path = tmp_path / "inst.json"
+    for field, value in bad_values:
+        ls_path.write_text(json.dumps(dict(good, **{field: value})))
+        for source in ("lot-sizing", "multi-item"):
+            code, out, err = run(capsys, "convert", "--from", source,
+                                 "--input", str(ls_path),
+                                 "--output", str(out_path))
+            assert code == 1 and out == "", (field, value, source)
+            assert one_line_error(err) and field in err, (field, value, source)
+    ls_path.write_text("[]")
+    code, out, err = run(capsys, "convert", "--from", "lot-sizing",
+                         "--input", str(ls_path), "--output", str(out_path))
+    assert code == 1 and out == "" and one_line_error(err)
+    assert not out_path.exists()
+
+
+def test_malformed_partition_json_rejected(tmp_path, capsys):
+    path = write_ref1(tmp_path)
+    part = tmp_path / "part.json"
+    bad = [({"s1": 5, "s2": [1, 2]}, "s1"), ({"s1": [], "s2": 5}, "s2"),
+           ({"s1": [1, "2"], "s2": []}, "s1"),
+           ({"s1": [1, True], "s2": []}, "s1"), ([1, 2], "partition")]
+    for data, field in bad:
+        part.write_text(json.dumps(data))
+        code, out, err = run(capsys, "solve", "--input", path,
+                             "--algorithm", "two-class", "--epsilon", "1/2",
+                             "--partition", str(part))
+        assert code == 1 and out == "", data
+        assert one_line_error(err) and field in err, data
+    code, out, err = run(capsys, "solve", "--input", path,
+                         "--algorithm", "two-class", "--epsilon", "1/2",
+                         "--partition", str(tmp_path / "missing.json"))
+    assert code == 1 and out == "" and one_line_error(err)

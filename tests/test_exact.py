@@ -1,12 +1,14 @@
 """Exact dynamic program."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from mongecfl.exact import (DemandCapExceeded, ExactSolver, Solution,
                             solve_exact)
 from mongecfl.generate import random_monge_instance, random_staircase_instance
+from mongecfl.kernel import FULL, shared
 from mongecfl.model import Client, Facility, Instance, is_inf
 from mongecfl.oracle import brute_force_optimum
 
@@ -100,6 +102,34 @@ def test_staircase_against_oracle_small():
 def test_recompute_cost_counts_openings(ref1):
     solution = Solution({1}, solve_exact(ref1).assignment, 11)
     assert solution.recompute_cost(ref1) == 11
+
+
+def test_from_served(ref1):
+    solution = Solution.from_served(
+        ref1, [(1, 1, 2), (1, 2, 1), (2, 2, 2), (2, 1, 0)])
+    assert solution.open == {1, 2}
+    assert solution.assignment.entries == {
+        (1, 1): 1, (1, 2): Fraction(1, 3), (2, 2): Fraction(2, 3)}
+    assert solution.assignment.entries[(1, 1)] is FULL
+    for key in solution.assignment.entries:
+        assert key is shared(tuple(list(key)))  # an equal, fresh tuple
+    # transport 1*2 + 2*1 + 1*2, opening 3 + 10, all integers
+    assert solution.assignment.cost == 6 and type(solution.assignment.cost) is int
+    assert solution.total_cost == 19 and type(solution.total_cost) is int
+    assert solution.recompute_cost(ref1) == 19
+
+
+def test_from_served_opens_only_serving_facilities(ref1):
+    solution = Solution.from_served(ref1, [(2, 1, 0), (1, 2, 3), (2, 2, 0)])
+    assert solution.open == {1}
+    assert solution.assignment.entries == {(1, 2): 1}
+    assert solution.total_cost == 3 + 2 * 3
+    empty = Solution.from_served(ref1, [(1, 1, 0), (2, 2, Fraction(0))])
+    assert empty.open == set() and empty.assignment.entries == {}
+    assert empty.total_cost == 0
+    partial = Solution.from_served(ref1, [(1, 1, Fraction(1, 2))])
+    assert partial.assignment.entries == {(1, 1): Fraction(1, 4)}
+    assert partial.total_cost == 3 + Fraction(1, 2)
 
 
 def test_many_facilities_no_recursion_limit():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import greedy_transport, recompute_flow_cost
 from mongecfl.generate import monge_cost_matrix, random_monge_instance
-from mongecfl.kernel import (Flow, demand_met, greedy_serve, greedy_transport,
-                             residual_profile, serve_schedule)
+from mongecfl.kernel import Flow, demand_met, greedy_serve, serve_schedule
 from mongecfl.model import INF, is_inf
 
 
@@ -41,10 +41,10 @@ def test_greedy_transport_unbalanced_rejected():
 
 def test_flow_recompute_cost():
     flow = Flow({(1, 1): 2, (1, 2): Fraction(1, 2)}, None)
-    assert flow.recompute_cost([[3, 4]]) == 8
-    assert is_inf(Flow({(1, 1): 1}, None).recompute_cost([[INF]]))
+    assert recompute_flow_cost(flow, [[3, 4]]) == 8
+    assert is_inf(recompute_flow_cost(Flow({(1, 1): 1}, None), [[INF]]))
     # zero-amount entries do not touch infinite edges
-    assert Flow({(1, 1): 0}, None).recompute_cost([[INF]]) == 0
+    assert recompute_flow_cost(Flow({(1, 1): 0}, None), [[INF]]) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,7 +62,7 @@ def test_greedy_transport_conservation(seed, m, n):
         assert sum(x for (a, _), x in flow.entries.items() if a == i) == supplies[i - 1]
     for j in range(1, n + 1):
         assert sum(x for (_, b), x in flow.entries.items() if b == j) == demands[j - 1]
-    assert flow.recompute_cost(costs) == flow.cost
+    assert recompute_flow_cost(flow, costs) == flow.cost
 
 
 def test_greedy_serve_examples(ref1):
@@ -115,16 +115,19 @@ def test_greedy_serve_cost_matches_simulation():
         assert result.transport_cost == cost
 
 
-def test_residual_profile_examples(ref1):
-    assert residual_profile(ref1, 3) == [2, 0]
-    assert residual_profile(ref1, 0) == [2, 3]
-    assert residual_profile(ref1, 4) == [1, 0]
+def test_serve_schedule_serves_the_residual_profile(ref1):
+    # budget and capacity cover all residual demand, so the schedule
+    # is the demand left after d_met was met right to left
+    assert serve_schedule(ref1, 1, 3, 100) == (2, [(1, 2)])
+    assert serve_schedule(ref1, 1, 0, 100) == (5, [(2, 3), (1, 2)])
+    assert serve_schedule(ref1, 1, 4, 100) == (1, [(1, 1)])
     with pytest.raises(ValueError):
-        residual_profile(ref1, 6)
+        serve_schedule(ref1, 1, 6, 100)  # d_met exceeds the total demand
 
 
-def test_residual_profile_rational(ref1):
-    assert residual_profile(ref1, Fraction(7, 2)) == [Fraction(3, 2), 0]
+def test_serve_schedule_rational_residual(ref1):
+    assert serve_schedule(ref1, 1, Fraction(7, 2), 100) == (
+        Fraction(3, 2), [(1, Fraction(3, 2))])
 
 
 def test_demand_met_examples(ref1):
