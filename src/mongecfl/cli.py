@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 input error, 2 infeasible instance, 3 Monge
-violation.  Reports go to standard output as JSON; solution and
-instance files are written where the flags say.
+Exit codes: 0 success, 1 input error (or an output file that cannot
+be written), 2 infeasible instance, 3 Monge violation.  Reports go to
+standard output as JSON; solution and instance files are written where
+the flags say.
 """
 
 from __future__ import annotations
@@ -102,23 +103,16 @@ def cmd_solve(args) -> int:
             if is_inf(solution.total_cost):
                 print(json.dumps(asdict(report)))
                 return EXIT_INFEASIBLE
-        elif args.algorithm == "fptas":
-            result = run_fptas(inst, Fraction(args.epsilon))
+        else:
+            eps = Fraction(args.epsilon)
+            result = (run_fptas(inst, eps) if args.algorithm == "fptas"
+                      else run_two_class_fptas(inst, partition, eps))
             solution = result.solution
             report.epsilon = args.epsilon
             report.bound = result.bound
             report.grid_step = result.grid.K
             report.grid_size = result.grid.size
             report.grid_budget = result.grid_budget
-        else:
-            result2 = run_two_class_fptas(inst, partition,
-                                          Fraction(args.epsilon))
-            solution = result2.solution
-            report.epsilon = args.epsilon
-            report.bound = result2.bound
-            report.grid_step = result2.grid.K
-            report.grid_size = result2.grid.size
-            report.grid_budget = result2.grid_budget
     except Infeasible:
         print(json.dumps(asdict(report)))
         return EXIT_INFEASIBLE
@@ -170,6 +164,18 @@ def cmd_check(args) -> int:
     return EXIT_NOT_MONGE
 
 
+def _save_monge_instance(inst: Instance, path: str) -> int:
+    """Write ``inst`` to ``path`` if its costs are Monge; otherwise
+    print the witness and write nothing."""
+    witness = check_monge_full(inst.costs)
+    if witness is not None:
+        _print_witness(witness)
+        return EXIT_NOT_MONGE
+    mio.save_instance(inst, path)
+    print(f"wrote {inst.m}x{inst.n} instance to {path}")
+    return EXIT_OK
+
+
 def cmd_convert(args) -> int:
     try:
         if args.source == "single-demand":
@@ -185,15 +191,11 @@ def cmd_convert(args) -> int:
                 inst = multi_item_to_cfl(ls)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"conversion failed: {exc}", EXIT_INPUT)
-    witness = check_monge_full(inst.costs)
-    if witness is not None:
-        _print_witness(witness)
+    code = _save_monge_instance(inst, args.output)
+    if code == EXIT_NOT_MONGE:
         print("internal error: reduction produced a non-Monge matrix",
               file=sys.stderr)
-        return EXIT_NOT_MONGE
-    mio.save_instance(inst, args.output)
-    print(f"wrote {inst.m}x{inst.n} instance to {args.output}")
-    return EXIT_OK
+    return code
 
 
 def cmd_generate(args) -> int:
@@ -214,13 +216,7 @@ def cmd_generate(args) -> int:
         inst = random_windowed_instance(rng, args.m, args.n,
                                         max_cost=args.max_cost,
                                         max_demand=args.max_demand)
-    witness = check_monge_full(inst.costs)
-    if witness is not None:
-        _print_witness(witness)
-        return EXIT_NOT_MONGE
-    mio.save_instance(inst, args.output)
-    print(f"wrote {inst.m}x{inst.n} instance to {args.output}")
-    return EXIT_OK
+    return _save_monge_instance(inst, args.output)
 
 
 def cmd_bench(args) -> int:
@@ -340,6 +336,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:  # commands catch their reads, so a write
+        return _fail(str(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -75,18 +75,6 @@ class Solution:
         opening = sum(inst.facilities[i - 1].open_cost for i in opened)
         return cls(opened, Flow(entries, transport), opening + transport)
 
-    def recompute_cost(self, inst: Instance) -> Union[Amount, float]:
-        total: Union[Amount, float] = sum(
-            inst.facilities[i - 1].open_cost for i in self.open)
-        for (i, j), x in self.assignment.entries.items():
-            if x == 0:
-                continue
-            c = inst.cost(i, j)
-            if is_inf(c):
-                return INF
-            total += c * inst.demand(j) * x
-        return total
-
 
 class ExactSolver:
     """Bottom-up evaluation of the (i, S) recurrence.

@@ -54,7 +54,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exact import Solution
-from .fptas import BudgetGrid, Rational, find_budget_bound
+from .fptas import (BudgetGrid, Rational, find_budget_bound,
+                    serve_everything_costs)
 from .kernel import Amount, ServeCurve
 from .model import Infeasible, Instance, MongeWitness, check_monge_full, is_inf
 
@@ -149,22 +150,6 @@ def _vector_serve(inst: Instance, partition: ClientPartition, i: int,
     return sched1, sched2
 
 
-def vector_demand_met(inst: Instance, partition: ClientPartition, i: int,
-                      d_met: Tuple[Amount, Amount],
-                      remaining: Tuple[int, int, int],
-                      ) -> Tuple[Amount, Amount]:
-    """Demand facility i meets per class given leftover budget vector
-    (opening, class-1 transport, class-2 transport)."""
-    b0, b1, b2 = remaining
-    if any(b < 0 for b in remaining) or any(d < 0 for d in d_met):
-        raise ValueError("budgets and met demand must be nonnegative")
-    if inst.facilities[i - 1].open_cost > b0:
-        return Fraction(0), Fraction(0)
-    sched1, sched2 = _vector_serve(inst, partition, i, d_met, b1, b2)
-    return (sum((a for _, a in sched1), Fraction(0)),
-            sum((a for _, a in sched2), Fraction(0)))
-
-
 @dataclass
 class _Entry:
     b0: int
@@ -251,13 +236,7 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
         # infinite entries, so a non-monotone release pattern can make it
         # miss feasible plans.  Fall back to the open-everything bound;
         # it is still an upper bound on the optimum, only looser.
-        B = (sum(f.open_cost for f in inst.facilities)
-             + sum(inst.cost(i, j) * inst.demand(j)
-                   for i in range(1, inst.m + 1)
-                   for j in range(1, inst.n + 1)
-                   if not is_inf(inst.cost(i, j))))
-        if B < 1:
-            B = 1
+        B = max(1, sum(serve_everything_costs(inst)))
     grid = BudgetGrid.for_instance(inst.m, B, eps)
     K = grid.K
     endpoint = (grid.size - 1) * K

@@ -90,9 +90,7 @@ def _as_fraction(eps: Rational) -> Fraction:
 class BudgetGrid:
     """Budgets restricted to multiples of K, from 0 to (ceil(B/K)+m)K.
 
-    K = max(1, ceil(eps*B / (m(m+1)))).  ``size`` may exceed the
-    standard endpoint when a caller extends the grid (test harnesses
-    probing the rounding guarantee past the nominal range).
+    K = max(1, ceil(eps*B / (m(m+1)))).
     """
 
     K: int
@@ -101,18 +99,14 @@ class BudgetGrid:
     size: int  # number of grid points, endpoint = (size-1)*K
 
     @classmethod
-    def for_instance(cls, m: int, B: int, eps: Rational,
-                     extend_to: Optional[int] = None) -> "BudgetGrid":
+    def for_instance(cls, m: int, B: int, eps: Rational) -> "BudgetGrid":
         if B < 1 or m < 1:
             raise ValueError("B and m must be positive")
         eps = _as_fraction(eps)
         if eps <= 0:
             raise ValueError("epsilon must be positive")
         K = max(1, math.ceil(eps * B / (m * (m + 1))))
-        size = math.ceil(B / K) + m + 1
-        if extend_to is not None:
-            size = max(size, math.ceil(extend_to / K) + 1)
-        return cls(K, B, m, size)
+        return cls(K, B, m, math.ceil(B / K) + m + 1)
 
     @property
     def points(self) -> List[int]:
@@ -121,9 +115,6 @@ class BudgetGrid:
     def round_up(self, x) -> int:
         """x rounded up to the nearest multiple of K."""
         return math.ceil(Fraction(x) / self.K) * self.K
-
-    def round_down(self, x) -> int:
-        return math.floor(Fraction(x) / self.K) * self.K
 
     def index(self, b: int) -> int:
         if b % self.K != 0 or not 0 <= b <= (self.size - 1) * self.K:
@@ -146,13 +137,18 @@ def max_contribution_feasible(inst: Instance, ell: int,
     return values[1] >= inst.total_demand, values
 
 
+def serve_everything_costs(inst: Instance) -> List[int]:
+    """Per facility, its opening cost plus the cost of serving all the
+    demand of every client it reaches at a finite cost."""
+    demands = [c.demand for c in inst.clients]
+    return [f.open_cost + sum(c * d for c, d in zip(row, demands)
+                              if not is_inf(c))
+            for f, row in zip(inst.facilities, inst.costs)]
+
+
 def contribution_search_limit(inst: Instance) -> int:
     """Upper end of the binary-search range for the contribution cap."""
-    return max(
-        f.open_cost + sum(inst.cost(i, j) * inst.demand(j)
-                          for j in range(1, inst.n + 1)
-                          if not is_inf(inst.cost(i, j)))
-        for i, f in enumerate(inst.facilities, start=1))
+    return max(serve_everything_costs(inst))
 
 
 def find_min_contribution(inst: Instance) -> int:

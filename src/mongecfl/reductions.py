@@ -10,7 +10,7 @@ makes the Monge condition vacuous).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .kernel import shared
 from .model import INF, Client, Cost, Facility, Instance
@@ -105,26 +105,13 @@ def lot_sizing_to_cfl(ls: LotSizingInstance) -> Instance:
     return _build(ls, client_periods)
 
 
-def multi_item_to_cfl(ls: LotSizingInstance,
-                      item_holding: Optional[dict] = None) -> Instance:
+def multi_item_to_cfl(ls: LotSizingInstance) -> Instance:
     """Multi-item lot-sizing with one shared linear holding-cost vector.
 
     One client per (period, item) with positive demand, ordered by
     period (item order fixed within a period); all clients at a period
-    share a cost column.  ``item_holding`` may spell out a holding
-    vector per item, but they must all agree with each other (and with
-    the shared vector, which they override): the reduction only covers
-    identical linear holding costs.
+    share a cost column.
     """
-    if item_holding:
-        vectors = {item: tuple(int(h) for h in vec)
-                   for item, vec in item_holding.items()}
-        distinct = set(vectors.values())
-        if len(distinct) > 1:
-            raise ValueError("items with different holding-cost vectors "
-                             "are outside the Monge reduction")
-        ls = LotSizingInstance(ls.horizon, ls.orders, ls.demands,
-                               distinct.pop())
     totals: dict = {}
     for t, item, amount in ls.demands:
         totals[(t, item)] = totals.get((t, item), 0) + amount

@@ -1,22 +1,32 @@
 """Shared fixtures and independent helper oracles for the test suite."""
 
+import dataclasses
 import itertools
+import math
 import random
+import runpy
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pytest
 
 from mongecfl.exact import DEFAULT_DEMAND_CAP, DemandCapExceeded, Solution
-from mongecfl.extensions import TwoClassResult
+from mongecfl.extensions import TwoClassResult, _vector_serve
 from mongecfl.fptas import (BudgetGrid, ValueTable, _ScaleError,
                             contribution_search_limit, find_budget_bound)
 from mongecfl.kernel import Amount, Flow, demand_met, greedy_serve
 from mongecfl.model import (INF, Client, Cost, Facility, Infeasible,
                             Instance, MongeWitness, is_inf)
 from mongecfl.reductions import LotSizingInstance
+
+# The benchmark's O(mn) solution certificate, which imports nothing from
+# the library; run from its file (compiled, nothing written), so tier-1
+# and the benchmark check solver outputs with the same code.
+CERTIFY_PY = Path(__file__).resolve().parents[1] / "perfbench" / "certify.py"
+certify_solution = runpy.run_path(str(CERTIFY_PY))["certify_solution"]
 
 
 @pytest.fixture
@@ -127,6 +137,21 @@ def feasible_monge_instance(rng: random.Random, max_demand: int = 6,
     return random_monge_instance(rng, rng.randint(2, max_m),
                                  rng.randint(2, max_n),
                                  max_demand=max_demand, feasible=True)
+
+
+def extended_grid(grid: BudgetGrid, budget: int) -> BudgetGrid:
+    """``grid`` with its endpoint raised to cover ``budget``, if needed."""
+    return dataclasses.replace(
+        grid, size=max(grid.size, math.ceil(budget / grid.K) + 1))
+
+
+def vector_demand_met(inst: Instance, partition, i: int, d_met,
+                      money1, money2) -> Tuple[Fraction, Fraction]:
+    """Demand an open facility i meets per class on transport budgets
+    (money1, money2): the totals of its two extraction schedules."""
+    return tuple(sum((amount for _, amount in schedule), Fraction(0))
+                 for schedule in _vector_serve(inst, partition, i, d_met,
+                                               money1, money2))
 
 
 def exact_value_function(inst: Instance, i: int, b: int,

@@ -8,7 +8,7 @@ import random
 import statistics
 from fractions import Fraction
 
-from conftest import (exact_value_function, greedy_transport,
+from conftest import (exact_value_function, extended_grid, greedy_transport,
                       lot_sizing_brute)
 from mongecfl import io as mio
 from mongecfl.cli import main
@@ -72,8 +72,7 @@ def test_criterion_4_grid_lemma():
         eps = rng.choice((1, Fraction(1, 2)))
         B = find_budget_bound(inst)
         grid = BudgetGrid.for_instance(inst.m, B, eps)
-        needed = 60 + (inst.m + 1) * grid.K
-        grid = BudgetGrid.for_instance(inst.m, B, eps, extend_to=needed)
+        grid = extended_grid(grid, 60 + (inst.m + 1) * grid.K)
         table = build_value_table(inst, grid)
         for i in range(1, inst.m + 1):
             for b in range(0, 61):

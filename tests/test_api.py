@@ -1,0 +1,25 @@
+"""The public API: any change to ``mongecfl.__all__`` shows up here."""
+
+import mongecfl
+
+PUBLIC = [
+    "BudgetGrid", "Client", "ClientPartition", "DemandCapExceeded",
+    "ExactSolver", "Facility", "Flow", "FptasResult", "INF", "Infeasible",
+    "Instance", "LotSizingInstance", "MongeWitness", "OracleResult",
+    "Solution", "ValueTable", "brute_force_optimum", "build_value_table",
+    "check_monge_adjacent", "check_monge_full", "check_windowed_monge",
+    "demand_met", "find_budget_bound", "find_min_contribution", "is_inf",
+    "lot_sizing_to_cfl", "max_contribution_feasible", "min_cost_assignment",
+    "multi_item_to_cfl", "run_fptas", "run_two_class_fptas",
+    "serve_schedule", "single_demand_to_cfl", "solve_exact", "solve_fptas",
+    "solve_two_class_fptas", "validate_instance",
+]
+
+
+def test_public_names():
+    assert sorted(mongecfl.__all__) == PUBLIC
+
+
+def test_public_names_resolve():
+    for name in PUBLIC:
+        assert hasattr(mongecfl, name), name

@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from mongecfl import io as mio
 from mongecfl.cli import _ratio, main
 from mongecfl.model import Client, Facility, Instance
@@ -439,3 +441,30 @@ def test_malformed_partition_json_rejected(tmp_path, capsys):
                          "--algorithm", "two-class", "--epsilon", "1/2",
                          "--partition", str(tmp_path / "missing.json"))
     assert code == 1 and out == "" and one_line_error(err)
+
+
+def write_lot_sizing(tmp_path):
+    path = tmp_path / "ls.json"
+    path.write_text(json.dumps({
+        "horizon": 2,
+        "orders": [{"cost": 1, "capacity": 5}, {"cost": 1, "capacity": 5}],
+        "demands": [{"period": 1, "amount": 2}, {"period": 2, "amount": 3}],
+        "holding": [2]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--input", "{ref1}", "--output"],
+    ["generate", "--m", "2", "--n", "2", "--output"],
+    ["generate", "--kind", "lot-sizing", "--m", "2", "--n", "2", "--output"],
+    ["convert", "--from", "lot-sizing", "--input", "{ls}", "--output"],
+    ["bench", "--suite", "{ref1}", "--epsilons", "1", "--csv"],
+], ids=["solve", "generate", "generate-lot-sizing", "convert", "bench"])
+def test_output_into_missing_directory(tmp_path, capsys, command):
+    inputs = {"ref1": write_ref1(tmp_path), "ls": write_lot_sizing(tmp_path)}
+    target = tmp_path / "missing" / "out.json"
+    argv = [arg.format(**inputs) for arg in command] + [str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert one_line_error(err) and str(target) in err
+    assert not target.exists()

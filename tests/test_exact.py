@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import certify_solution
 from mongecfl.exact import (DemandCapExceeded, ExactSolver, Solution,
                             solve_exact)
 from mongecfl.generate import random_monge_instance, random_staircase_instance
@@ -31,7 +32,7 @@ def test_solve_ref1(ref1):
     assert solution.total_cost == 11
     assert solution.open == {1}
     assert solution.assignment.entries == {(1, 1): 1, (1, 2): 1}
-    assert solution.recompute_cost(ref1) == 11
+    assert certify_solution(ref1, solution) == []
 
 
 def test_solve_ref1_tight_capacity(ref1):
@@ -58,19 +59,8 @@ def test_demand_cap():
 def test_solution_fractions_are_exact(ref1):
     inst = Instance([Facility(3, 4), Facility(10, 5)], ref1.clients, ref1.costs)
     solution = solve_exact(inst)
-    for (i, j), x in solution.assignment.entries.items():
-        assert 0 < x <= 1
-        assert i in solution.open
-    # per-client coverage sums to 1
-    for j in range(1, inst.n + 1):
-        assert sum(x for (_, b), x in solution.assignment.entries.items()
-                   if b == j) == 1
-    # per-facility load within capacity
-    for i in solution.open:
-        load = sum(x * inst.demand(j)
-                   for (a, j), x in solution.assignment.entries.items()
-                   if a == i)
-        assert load <= inst.facilities[i - 1].capacity
+    assert certify_solution(inst, solution) == []
+    assert all(0 < x for x in solution.assignment.entries.values())
 
 
 def test_tie_break_prefers_closed():
@@ -96,12 +86,14 @@ def test_staircase_against_oracle_small():
         solution = solve_exact(inst)
         assert solution.total_cost == brute_force_optimum(inst).optimum
         if not is_inf(solution.total_cost):
-            assert solution.recompute_cost(inst) == solution.total_cost
+            assert certify_solution(inst, solution) == []
 
 
 def test_recompute_cost_counts_openings(ref1):
     solution = Solution({1}, solve_exact(ref1).assignment, 11)
-    assert solution.recompute_cost(ref1) == 11
+    assert certify_solution(ref1, solution) == []
+    # transport alone (8) is not the cost
+    assert certify_solution(ref1, Solution({1}, solution.assignment, 8))
 
 
 def test_from_served(ref1):
@@ -116,7 +108,7 @@ def test_from_served(ref1):
     # transport 1*2 + 2*1 + 1*2, opening 3 + 10, all integers
     assert solution.assignment.cost == 6 and type(solution.assignment.cost) is int
     assert solution.total_cost == 19 and type(solution.total_cost) is int
-    assert solution.recompute_cost(ref1) == 19
+    assert certify_solution(ref1, solution) == []
 
 
 def test_from_served_opens_only_serving_facilities(ref1):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import certify_solution, vector_demand_met
 from mongecfl.extensions import (ClientPartition, WindowViolation,
                                  check_windowed_monge, run_two_class_fptas,
-                                 solve_two_class_fptas, vector_demand_met)
+                                 solve_two_class_fptas)
 from mongecfl.generate import (random_monge_instance, random_two_class_instance,
                                random_windowed_instance)
 from mongecfl.model import (INF, Client, Facility, Instance, MongeWitness,
@@ -140,16 +141,14 @@ def test_windowed_witness_is_first_finite_violation():
 
 def test_vector_demand_met_ref1(ref1):
     partition = ClientPartition((1,), (2,))
-    assert vector_demand_met(ref1, partition, 1, (0, 0), (9, 2, 6)) == (2, 3)
-    # cannot open: f_1 = 3 > 2
-    assert vector_demand_met(ref1, partition, 1, (0, 0), (2, 9, 9)) == (0, 0)
+    assert vector_demand_met(ref1, partition, 1, (0, 0), 2, 6) == (2, 3)
 
 
 def test_vector_demand_met_degenerate(ref1):
     from mongecfl.kernel import demand_met
     partition = ClientPartition((1, 2), ())
     for b in (0, 5, 8, 12):
-        t1, t2 = vector_demand_met(ref1, partition, 1, (0, 0), (3, b, 0))
+        t1, t2 = vector_demand_met(ref1, partition, 1, (0, 0), b, 0)
         assert t2 == 0
         assert t1 == demand_met(ref1, 1, 0, 3 + b)
 
@@ -157,7 +156,7 @@ def test_vector_demand_met_degenerate(ref1):
 def test_vector_demand_met_capacity_shared():
     inst = Instance([Facility(0, 4)], [Client(3), Client(3)], [[1, 1]])
     partition = ClientPartition((1,), (2,))
-    t1, t2 = vector_demand_met(inst, partition, 1, (0, 0), (0, 100, 100))
+    t1, t2 = vector_demand_met(inst, partition, 1, (0, 0), 100, 100)
     assert t1 + t2 <= 4
     assert (t1, t2) == (3, 1)  # class 1 served first
 
@@ -189,4 +188,4 @@ def test_two_class_approximation():
         result = run_two_class_fptas(inst, partition, eps)
         opt = brute_force_optimum(inst).optimum
         assert Fraction(result.solution.total_cost) <= (1 + eps) * opt
-        assert result.solution.recompute_cost(inst) == result.solution.total_cost
+        assert certify_solution(inst, result.solution) == []

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import reference_fill_table
+from conftest import extended_grid, reference_fill_table
 from mongecfl.fptas import (BudgetGrid, _cost_scale_base, _fill_table,
                             _ScaleError, build_value_table, find_budget_bound)
 from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
@@ -83,9 +83,10 @@ def test_random_int64_fills_match_reference():
         free_opens += any(f.open_cost == 0 for f in inst.facilities)
         B = find_budget_bound(inst)
         for eps in EPSILONS:
-            extend_to = 2 * B if n_inst % 3 == 0 else None
-            extended += extend_to is not None
-            grid = BudgetGrid.for_instance(inst.m, B, eps, extend_to=extend_to)
+            grid = BudgetGrid.for_instance(inst.m, B, eps)
+            if n_inst % 3 == 0:
+                grid = extended_grid(grid, 2 * B)
+                extended += 1
             escalated, _ = assert_same_table(inst, grid)
             escalations += escalated
     assert escalations >= 1

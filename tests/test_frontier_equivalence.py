@@ -14,9 +14,9 @@ from fractions import Fraction
 import pytest
 
 import conftest
-from conftest import ReferenceEntry, reference_prune, reference_run_two_class
-from mongecfl.extensions import (ClientPartition, _prune, run_two_class_fptas,
-                                 vector_demand_met)
+from conftest import (ReferenceEntry, reference_prune,
+                      reference_run_two_class, vector_demand_met)
+from mongecfl.extensions import ClientPartition, _prune, run_two_class_fptas
 from mongecfl.generate import random_monge_instance, random_two_class_instance
 from mongecfl.model import INF, Client, Facility, Instance
 
@@ -144,7 +144,7 @@ def test_infinite_cost_stops_the_walk():
                       ClientPartition((1,), (2, 3))):
         assert_same_result(inst, partition, Fraction(1, 10))
     assert vector_demand_met(inst, ClientPartition((1, 2, 3), ()), 2,
-                             (0, 0), (1, 100, 0)) == (2, 0)
+                             (0, 0), 100, 0) == (2, 0)
 
 
 def test_keys_above_int64():

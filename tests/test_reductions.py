@@ -98,20 +98,6 @@ def test_multi_item_single_item_agrees():
     assert multi_item_to_cfl(ls).costs == lot_sizing_to_cfl(ls).costs
 
 
-def test_multi_item_differing_holding_rejected():
-    ls = LotSizingInstance(2, [(1, 9), (1, 9)],
-                           [(2, 0, 1), (2, 1, 4)], [3])
-    with pytest.raises(ValueError, match="different holding-cost"):
-        multi_item_to_cfl(ls, item_holding={0: [3], 1: [5]})
-
-
-def test_multi_item_agreeing_holding_accepted():
-    ls = LotSizingInstance(2, [(1, 9), (1, 9)],
-                           [(2, 0, 1), (2, 1, 4)], [3])
-    inst = multi_item_to_cfl(ls, item_holding={0: [5], 1: [5]})
-    assert inst.costs[0][0] == 5  # the per-item vector overrides
-
-
 def test_single_demand():
     inst = single_demand_to_cfl([Facility(1, 9), Facility(2, 9), Facility(3, 9)],
                                 Client(7), [4, INF, 0])
