@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import io as mio
-from .exact import solve_exact
+from .exact import DemandCapExceeded, solve_exact
 from .extensions import ClientPartition, check_windowed_monge, run_two_class_fptas
 from .fptas import run_fptas
 from .generate import (random_lot_sizing, random_monge_instance,
@@ -250,13 +250,18 @@ def cmd_bench(args) -> int:
                 row["ratio"] = _ratio(cost, oracle_cost)
             rows.append(row)
 
+        solution = None
         if inst.total_demand <= args.exact_max_demand:
             start = time.perf_counter()
-            solution = solve_exact(inst)
+            try:
+                solution = solve_exact(inst)
+            except DemandCapExceeded:  # the exact DP's own cap is lower
+                pass
+        if solution is None:
+            rows.append(dict(base, algorithm="exact", cost="skipped"))
+        else:
             record("exact", None, solution.total_cost,
                    time.perf_counter() - start)
-        else:
-            rows.append(dict(base, algorithm="exact", cost="skipped"))
         for eps in epsilons:
             start = time.perf_counter()
             try:

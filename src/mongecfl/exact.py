@@ -27,7 +27,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Iterable, List, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from .kernel import FULL, Amount, Flow, greedy_serve, shared
 from .model import INF, Cost, Instance, is_inf
@@ -48,7 +48,7 @@ class Solution:
     assignment.cost is the transport cost alone.
     """
 
-    open: Set[int]
+    open: FrozenSet[int]
     assignment: Flow
     total_cost: Union[Amount, float]
 
@@ -69,11 +69,12 @@ class Solution:
                 continue
             demand = inst.demand(j)
             entries[shared((i, j))] = (FULL if units == demand
-                                       else Fraction(units, demand))
+                                       else shared(Fraction(units, demand)))
             transport += inst.cost(i, j) * units
-        opened = {i for i, _ in entries}
+        opened = shared(frozenset(i for i, _ in entries))
         opening = sum(inst.facilities[i - 1].open_cost for i in opened)
-        return cls(opened, Flow(entries, transport), opening + transport)
+        return cls(opened, Flow(entries, shared(transport)),
+                   shared(opening + transport))
 
 
 class ExactSolver:
@@ -173,7 +174,7 @@ class ExactSolver:
                                           self._reach[i])
         cost = row[0]
         if is_inf(cost):
-            return Solution(set(), Flow({}, INF), INF)
+            return Solution(frozenset(), Flow({}, INF), INF)
 
         schedule: List[Tuple[int, int, int]] = []
         i, j, d = 1, 1, inst.demand(1)

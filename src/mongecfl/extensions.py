@@ -21,6 +21,16 @@ class's clients.  It is built once per (entry, class); the facility
 then serves min(cap, f(s1)) of class 1 and min(cap - t1, f(s2)) of
 class 2, so class 1 is evaluated once per s1 and class 2 once per s2.
 
+Scaled integers.  A level's frontier holds its demands as integers
+over one scale S, the lcm of their denominators.  Level i divides by
+one cost of row i at most, so its serve curves return amounts over
+S * L_i, with L_i the lcm of row i's finite costs above 1: the
+candidates' demands are exact integers over S * L_i, and the
+facility's capacity and the coverage targets are compared on that
+scale.  Dividing every demand and the scale by their gcd before the
+prune restores the lcm of the denominators.  No ``Fraction`` is built
+before extraction.
+
 Spend loops.  A spend past round_up(saturation money) serves nothing
 more, so its candidate is strictly dominated by the one at that spend;
 the same holds past the spend at which the capacity binds.  Candidates
@@ -28,10 +38,9 @@ whose budget sum exceeds the best cover found so far can neither be
 chosen nor dominate a candidate that can.  None of these is generated,
 and the pruned frontier is the same as with the full grid.
 
-Integer-keyed prune.  A level's demands are scaled by L, the lcm of
-their denominators, so every key is an exact integer.  Candidates are
-stably sorted by (budget sum, b0, b1, b2, -d1, -d2) on int64 keys, or
-on Python ints in an object array when a key does not fit; object keys
+Integer-keyed prune.  The prune sorts candidates stably by (budget
+sum, b0, b1, b2, -d1, -d2) on the level's integer keys: int64, or
+Python ints in an object array when a key does not fit; object keys
 are then replaced row by row by their int64 ranks, which compare the
 same way.  A candidate is kept iff no candidate before it dominates it.
 That keeps the maxima of the vector set (Kung, Luccio & Preparata, JACM
@@ -39,9 +48,10 @@ That keeps the maxima of the vector set (Kung, Luccio & Preparata, JACM
 tested block by block with numpy broadcasting, against the kept set
 and within the block.
 
-Lazy schedules.  Frontier entries record their spend vector but no
-schedule; extraction rebuilds the schedules along the chain of the
-best cover only.
+Lazy schedules.  Frontier entries record their budgets, parent and
+opened facility but no schedule; the spends are the budget differences
+to the parent, and extraction rebuilds the schedules along the chain
+of the best cover only.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -56,7 +67,7 @@ import numpy as np
 from .exact import Solution
 from .fptas import (BudgetGrid, Rational, find_budget_bound,
                     serve_everything_costs)
-from .kernel import Amount, ServeCurve
+from .kernel import Amount, ServeCurve, cost_lcm
 from .model import Infeasible, Instance, MongeWitness, check_monge_full, is_inf
 
 
@@ -137,17 +148,19 @@ def check_windowed_monge(inst: Instance,
 
 
 def _vector_serve(inst: Instance, partition: ClientPartition, i: int,
-                  d_met: Tuple[Amount, Amount], money1: Amount,
-                  money2: Amount,
+                  d_met: Tuple[int, int], scale: int, money1: int,
+                  money2: int,
                   ) -> Tuple[List[Tuple[int, Fraction]],
                              List[Tuple[int, Fraction]]]:
     """Schedules of an open facility i: class 1 first, then class 2 on
-    the capacity class 1 leaves."""
-    cap: Amount = inst.facilities[i - 1].capacity
-    sched1 = ServeCurve(inst, i, partition.s1, d_met[0]).schedule(money1, cap)
-    cap -= sum(amount for _, amount in sched1)
-    sched2 = ServeCurve(inst, i, partition.s2, d_met[1]).schedule(money2, cap)
-    return sched1, sched2
+    the capacity class 1 leaves.  ``d_met`` is scaled by ``scale``."""
+    lcm = cost_lcm(inst.costs[i - 1])
+    curve1 = ServeCurve(inst, i, partition.s1, d_met[0], scale, lcm)
+    curve2 = ServeCurve(inst, i, partition.s2, d_met[1], scale, lcm)
+    cap = inst.facilities[i - 1].capacity * curve1.unit
+    room = cap - min(cap, curve1.served(money1 * scale))
+    return (curve1.schedule(money1 * scale, cap),
+            curve2.schedule(money2 * scale, room))
 
 
 @dataclass
@@ -155,11 +168,11 @@ class _Entry:
     b0: int
     b1: int
     b2: int
-    d1: Amount
-    d2: Amount
+    d1: int  # demands met, scaled by ``scale``
+    d2: int
+    scale: int
     parent: Optional["_Entry"]
-    facility: Optional[int]
-    spend: Optional[Tuple[int, int, int]]
+    facility: Optional[int]  # opened on top of parent, None if closed
 
     @property
     def budget_sum(self) -> int:
@@ -188,13 +201,14 @@ def _prune(b0: Sequence[int], b1: Sequence[int], b2: Sequence[int],
     """
     scale = math.lcm(*{d.denominator for d in d1},
                      *{d.denominator for d in d2})
-    n1 = [d.numerator * (scale // d.denominator) for d in d1]
-    n2 = [d.numerator * (scale // d.denominator) for d in d2]
-    top = max(max(b0) + max(b1) + max(b2), max(n1), max(n2))
+    if scale > 1:
+        d1 = [d.numerator * (scale // d.denominator) for d in d1]
+        d2 = [d.numerator * (scale // d.denominator) for d in d2]
+    top = max(max(b0) + max(b1) + max(b2), max(d1), max(d2))
     dtype = np.int64 if top < 2**63 else object
+    keys = np.array([b0, b1, b2, d1, d2], dtype=dtype)
     # every row is "smaller is better", so a dominates b iff a <= b
-    keys = np.array([b0, b1, b2, [-x for x in n1], [-x for x in n2]],
-                    dtype=dtype)
+    keys[3:] *= -1
     order = np.lexsort((keys[4], keys[3], keys[2], keys[1], keys[0],
                         keys[0] + keys[1] + keys[2]))
     keys = keys[:, order]
@@ -241,55 +255,81 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
     K = grid.K
     endpoint = (grid.size - 1) * K
 
-    def covers(e: _Entry) -> bool:
-        return e.d1 >= target1 and e.d2 >= target2
-
-    frontier = [_Entry(0, 0, 0, Fraction(0), Fraction(0), None, None, None)]
+    frontier = [_Entry(0, 0, 0, 0, 0, 1, None, None)]
     best_cover: Optional[_Entry] = None
     for i in range(inst.m, 0, -1):
         if not frontier:
             break  # every entry reached the best cover's budget sum
         open_spend = grid.round_up(inst.facilities[i - 1].open_cost)
-        cap = inst.facilities[i - 1].capacity
+        lcm = cost_lcm(inst.costs[i - 1])
+        scale = frontier[0].scale
+        unit = scale * lcm  # the scale of this level's candidate demands
+        cap = inst.facilities[i - 1].capacity * unit
+        step = K * scale  # scaled money one grid step adds
         # no candidate above the best cover's budget sum can matter (and
         # no budget sum exceeds 3 * endpoint)
         limit = 3 * endpoint if best_cover is None else best_cover.budget_sum
-        # candidates in _Entry field order, in generation order
-        cands: List[tuple] = []
+        # candidates in generation order: b2 and d2 per candidate, and
+        # (b0, b1, d1, parent, facility opened, count) per run of
+        # candidates that share them
+        b2s: List[int] = []
+        d2s: List[int] = []
+        runs: List[tuple] = []
         for e in frontier:
-            cands.append((e.b0, e.b1, e.b2, e.d1, e.d2, e, None, None))
+            d1, d2 = e.d1 * lcm, e.d2 * lcm
+            b2s.append(e.b2)
+            d2s.append(d2)
+            runs.append((e.b0, e.b1, d1, e, None, 1))  # i stays closed
             b0 = e.b0 + open_spend
             slack = limit - (b0 + e.b1 + e.b2)
             if b0 > endpoint or slack < 0:
                 continue
-            curve1 = ServeCurve(inst, i, partition.s1, e.d1)
-            curve2 = ServeCurve(inst, i, partition.s2, e.d2)
-            max1 = min(endpoint - e.b1, grid.round_up(curve1.money[-1]), slack)
-            max2 = min(endpoint - e.b2, grid.round_up(curve2.money[-1]), slack)
+            curve1 = ServeCurve(inst, i, partition.s1, e.d1, scale, lcm)
+            curve2 = ServeCurve(inst, i, partition.s2, e.d2, scale, lcm)
+            # spends up to the saturation money rounded up to the grid
+            max1 = min(endpoint - e.b1, -(-curve1.money[-1] // step) * K,
+                       slack)
+            max2 = min(endpoint - e.b2, -(-curve2.money[-1] // step) * K,
+                       slack)
             spends2 = range(0, max2 + 1, K)
-            served2 = [curve2.served(s2) for s2 in spends2]
+            served2 = [curve2.served(s2 * scale) for s2 in spends2]
             for s1 in range(0, max1 + 1, K):
-                t1 = min(cap, curve1.served(s1))
+                t1 = min(cap, curve1.served(s1 * scale))
                 room = cap - t1
-                d1 = e.d1 + t1
+                count = len(b2s)
                 for s2, f2 in zip(spends2, served2):
                     if s1 + s2 > slack:
                         break
                     t2 = min(room, f2)
                     if t1 + t2 != 0:
-                        cands.append((b0, e.b1 + s1, e.b2 + s2, d1, e.d2 + t2,
-                                      e, i, (open_spend, s1, s2)))
+                        b2s.append(e.b2 + s2)
+                        d2s.append(d2 + t2)
                     if t2 == room:
                         break
+                runs.append((b0, e.b1 + s1, d1 + t1, e, i, len(b2s) - count))
                 if t1 == cap:
                     break
-        frontier = [_Entry(*cands[k])
-                    for k in _prune(*list(zip(*cands))[:5])]
+        b0s, b1s, d1s, parents, opened = (
+            list(chain.from_iterable(repeat(run[col], run[5]) for run in runs))
+            for col in range(5))
+        del runs  # freed before the prune, the level's memory peak
+        # the smallest scale that keeps every demand whole: the lcm of
+        # their denominators
+        g = math.gcd(unit, *d1s, *d2s)
+        if g > 1:
+            d1s = [d // g for d in d1s]
+            d2s = [d // g for d in d2s]
+        scale = unit // g
+        frontier = [_Entry(b0s[k], b1s[k], b2s[k], d1s[k], d2s[k], scale,
+                           parents[k], opened[k])
+                    for k in _prune(b0s, b1s, b2s, d1s, d2s)]
+        need1, need2 = target1 * scale, target2 * scale
         for e in frontier:
-            if covers(e) and (best_cover is None
-                              or (e.budget_sum, e.b0, e.b1, e.b2)
-                              < (best_cover.budget_sum, best_cover.b0,
-                                 best_cover.b1, best_cover.b2)):
+            if e.d1 >= need1 and e.d2 >= need2 and (
+                    best_cover is None
+                    or (e.budget_sum, e.b0, e.b1, e.b2)
+                    < (best_cover.budget_sum, best_cover.b0,
+                       best_cover.b1, best_cover.b2)):
                 best_cover = e
         if best_cover is not None:
             frontier = [e for e in frontier
@@ -298,13 +338,14 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
     if best_cover is None:
         raise Infeasible("no feasible solution within the budget grid")
 
-    served: List[Tuple[int, int, Amount]] = []
+    served: List[Tuple[int, int, Fraction]] = []
     e: Optional[_Entry] = best_cover
     while e is not None:
         if e.facility is not None:
-            _, s1, s2 = e.spend
+            parent = e.parent
             for sched in _vector_serve(inst, partition, e.facility,
-                                       (e.parent.d1, e.parent.d2), s1, s2):
+                                       (parent.d1, parent.d2), parent.scale,
+                                       e.b1 - parent.b1, e.b2 - parent.b2):
                 served += [(e.facility, j, amount) for j, amount in sched]
         e = e.parent
     solution = Solution.from_served(inst, served)

@@ -76,7 +76,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .exact import Solution
-from .kernel import Amount, demand_met, serve_schedule
+from .kernel import Amount, cost_lcm, demand_met, serve_schedule
 from .model import Infeasible, Instance, is_inf
 
 Rational = Union[int, float, str, Fraction]
@@ -175,12 +175,7 @@ def find_budget_bound(inst: Instance) -> int:
 
 def _cost_scale_base(inst: Instance) -> int:
     """lcm of the finite nonzero cost entries."""
-    base = 1
-    for row in inst.costs:
-        for c in row:
-            if not is_inf(c) and c > 1:
-                base = math.lcm(base, c)
-    return base
+    return math.lcm(*map(cost_lcm, inst.costs))
 
 
 class _ScaleError(Exception):

@@ -2,26 +2,29 @@
 
 The Monge property lets every dynamic program assign demand greedily.
 ``greedy_serve`` walks clients left to right from a given unit; the
-exact DP's extraction uses it.  ``ServeCurve`` is the one ``Fraction``
-right-to-left serve walk: an open facility serves the demand later
-facilities left, from the last client backward, until its money or its
-capacity runs out or it reaches an infinite cost.  Its callers are
-``serve_schedule`` and ``demand_met`` (the FPTAS bound search and
-extraction) and the two-class frontier and extraction in
-``extensions``.  The FPTAS table fill walks the same curve in scaled
-integers, inline, as its hot loop.
+exact DP's extraction uses it.  ``ServeCurve`` is the one right-to-left
+serve walk, in integers scaled by a caller-given factor: an open
+facility serves the demand later facilities left, from the last client
+backward, until its money or its capacity runs out or it reaches an
+infinite cost.  Its callers are ``serve_schedule`` and ``demand_met``
+(the FPTAS bound search and extraction) and the two-class frontier and
+extraction in ``extensions``.  The FPTAS table fill walks the same
+curve in scaled integers, inline, as its hot loop.
 
-Everything here is a pure function over an immutable Instance; amounts
-are exact rationals throughout.
+Everything here is a pure function over an immutable Instance.  Amounts
+are exact: scaled integers inside the walk, and ``int`` or ``Fraction``
+at the boundary of ``serve_schedule``, ``demand_met`` and
+``ServeCurve.schedule``.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, TypeVar, Union
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .model import INF, Cost, Instance, is_inf
 
@@ -33,15 +36,17 @@ T = TypeVar("T")
 FULL = Fraction(1)
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=1 << 14, typed=True)
 def shared(value: T) -> T:
     """``value``, or an equal immutable value passed in before.
 
-    Solutions pass their (facility, client) entry keys and reductions
-    their cost rows, facilities and clients through here, so results
-    built from the same data share these objects instead of holding
-    copies.  Only for values whose equal copies are interchangeable
-    (no mix of equal ints and floats).
+    Solutions pass their (facility, client) entry keys, open sets,
+    costs and fractional shares, and reductions their cost rows,
+    facilities and clients through here, so results built from the
+    same data share these objects instead of holding copies.  Keys are
+    typed, so an int and an equal ``Fraction`` stay apart.  Only for
+    values whose equal copies are interchangeable (no mix of equal ints
+    and floats inside a tuple).
     """
     return value
 
@@ -114,75 +119,101 @@ def greedy_serve(inst: Instance, i: int, u: int, j: int, d: int) -> GreedyServeR
     return GreedyServeResult(ell, remaining, cost)
 
 
+@lru_cache(maxsize=1 << 10)
+def cost_lcm(row: Tuple[Cost, ...]) -> int:
+    """lcm of the finite costs above 1 in a cost row."""
+    return math.lcm(*(c for c in row if not is_inf(c) and c > 1))
+
+
 class ServeCurve:
     """Uncapped right-to-left serve of one client class by facility i.
 
-    ``d_met`` units of the class are already met right to left by later
+    Demand and money are integers scaled by ``scale``: ``d_met / scale``
+    units of the class are already met right to left by later
     facilities.  Spending money x on the residual clients, from the
-    right, serves f(x); ``money[k]`` and ``amount[k]`` are the money
-    and amount once the first k of them are fully served.  The walk
-    stops at the first infinite cost, and f is constant from
+    right, serves f(x); ``money[k]`` (scaled by ``scale``) and
+    ``amount[k]`` (scaled by ``unit = scale * lcm``) are the money and
+    amount once the first k of them are fully served.  ``lcm`` is a
+    multiple of every finite positive cost facility i may reach, so a
+    partial serve (x - money[k]) * lcm / c is a whole number of units.
+    The walk stops at the first infinite cost, and f is constant from
     ``money[-1]`` (the saturation money) on.
     """
 
-    __slots__ = ("clients", "money", "amount")
+    __slots__ = ("clients", "money", "amount", "lcm", "unit")
 
     def __init__(self, inst: Instance, i: int, members: Sequence[int],
-                 d_met: Amount):
+                 d_met: int, scale: int, lcm: int):
+        self.lcm = lcm
+        self.unit = scale * lcm
         self.clients: List[Tuple[int, int]] = []  # (client, cost) in order
-        self.money: List[Amount] = [0]
-        self.amount: List[Amount] = [0]
+        self.money: List[int] = [0]
+        self.amount: List[int] = [0]
+        row = inst.costs[i - 1]
+        clients = inst.clients
         left = d_met
+        money = amount = 0
         for j in reversed(members):
-            r = inst.demand(j)
+            r = clients[j - 1].demand * scale
             if left > 0:
                 take = min(r, left)
                 r -= take
                 left -= take
             if r == 0:
                 continue
-            c = inst.cost(i, j)
+            c = row[j - 1]
             if is_inf(c):
                 break
             self.clients.append((j, c))
-            self.money.append(self.money[-1] + c * r)
-            self.amount.append(self.amount[-1] + r)
+            money += c * r
+            amount += r * lcm
+            self.money.append(money)
+            self.amount.append(amount)
 
-    def served(self, money: Amount) -> Amount:
-        """f(money): demand served before the capacity binds."""
+    def served(self, money: int) -> int:
+        """f(money), scaled by ``unit``: demand served before the
+        capacity binds, for ``money`` scaled by ``scale``."""
         k = bisect_right(self.money, money) - 1
         if k == len(self.clients):
             return self.amount[k]
         # a zero-cost next client would share money[k], so its cost is > 0
-        return self.amount[k] + Fraction(money - self.money[k],
-                                         self.clients[k][1])
+        return self.amount[k] + ((money - self.money[k]) * self.lcm
+                                 // self.clients[k][1])
 
-    def schedule(self, money: Amount, cap: Amount,
-                 ) -> List[Tuple[int, Fraction]]:
-        """(client, amount) served with ``money`` and capacity ``cap``."""
+    def schedule(self, money: int, cap: int) -> List[Tuple[int, Fraction]]:
+        """(client, amount) served with ``money`` (scaled by ``scale``)
+        and capacity ``cap`` (scaled by ``unit``); amounts are unscaled."""
         left = min(cap, self.served(money))
         out: List[Tuple[int, Fraction]] = []
         for k, (j, _) in enumerate(self.clients):
             if left <= 0:
                 break
             take = min(self.amount[k + 1] - self.amount[k], left)
-            out.append((j, Fraction(take)))
+            out.append((j, Fraction(take, self.unit)))
             left -= take
         return out
 
 
-def _money_after_opening(inst: Instance, i: int, d_met: Amount,
-                         budget: Amount) -> Amount:
-    """Budget left once facility i is open; negative if it cannot open."""
+def _open_curve(inst: Instance, i: int, d_met: Amount, budget: Amount,
+                ) -> Optional[Tuple[ServeCurve, int]]:
+    """Facility i's curve over all clients and the money it has left
+    once open (scaled by the curve's scale); None if it cannot open."""
     if d_met < 0 or budget < 0:
         raise ValueError("d_met and budget must be nonnegative")
     if d_met > inst.total_demand:
         raise ValueError("d_met must not exceed the total demand")
-    return budget - inst.facilities[i - 1].open_cost
+    money = budget - inst.facilities[i - 1].open_cost
+    if money < 0:
+        return None
+    scale = math.lcm(d_met.denominator, money.denominator)
+    curve = ServeCurve(inst, i, range(1, inst.n + 1),
+                       d_met.numerator * (scale // d_met.denominator), scale,
+                       cost_lcm(inst.costs[i - 1]))
+    return curve, money.numerator * (scale // money.denominator)
 
 
-def serve_schedule(inst: Instance, i: int, d_met: Amount,
-                   budget: Amount) -> Tuple[Amount, List[Tuple[int, Amount]]]:
+def serve_schedule(inst: Instance, i: int, d_met: Amount, budget: Amount,
+                   ) -> Tuple[Fraction, List[Tuple[int, Fraction]]]:
     """Open facility i and serve residual demand right-to-left on a budget.
 
     Returns (total served, [(client, amount)] in serving order).  Serves
@@ -191,19 +222,35 @@ def serve_schedule(inst: Instance, i: int, d_met: Amount,
     or whose cost from i is infinite; fractional amounts are exact
     rationals.
     """
-    money = _money_after_opening(inst, i, d_met, budget)
-    if money < 0:
+    walk = _open_curve(inst, i, d_met, budget)
+    if walk is None:
         return Fraction(0), []
-    served = ServeCurve(inst, i, range(1, inst.n + 1), d_met).schedule(
-        money, inst.facilities[i - 1].capacity)
-    return sum((amount for _, amount in served), Fraction(0)), served
+    curve, money = walk
+    cap = inst.facilities[i - 1].capacity * curve.unit
+    return (Fraction(min(cap, curve.served(money)), curve.unit),
+            curve.schedule(money, cap))
 
 
 def demand_met(inst: Instance, i: int, d_met: Amount, budget: Amount) -> Amount:
     """Demand facility i can meet with the given budget, after d_met was
-    already met right-to-left by later facilities.  Never exceeds U_i."""
-    money = _money_after_opening(inst, i, d_met, budget)
-    if money < 0:
+    already met right-to-left by later facilities.  Never exceeds U_i.
+
+    An int when the capacity binds, or when the money covers every
+    client the walk reaches and none of them was left partly met by a
+    ``Fraction`` d_met; a ``Fraction`` otherwise.
+    """
+    walk = _open_curve(inst, i, d_met, budget)
+    if walk is None:
         return Fraction(0)
-    return min(inst.facilities[i - 1].capacity,
-               ServeCurve(inst, i, range(1, inst.n + 1), d_met).served(money))
+    curve, money = walk
+    cap = inst.facilities[i - 1].capacity
+    served = curve.served(money)
+    if served >= cap * curve.unit:
+        return cap
+    # a client partly met by d_met can only be the first one served
+    partly_met = (isinstance(d_met, Fraction) and curve.clients
+                  and curve.amount[1] != curve.unit
+                  * inst.demand(curve.clients[0][0]))
+    if money >= curve.money[-1] and not partly_met:
+        return served // curve.unit
+    return Fraction(served, curve.unit)

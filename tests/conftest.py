@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import runpy
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -150,8 +151,112 @@ def vector_demand_met(inst: Instance, partition, i: int, d_met,
     """Demand an open facility i meets per class on transport budgets
     (money1, money2): the totals of its two extraction schedules."""
     return tuple(sum((amount for _, amount in schedule), Fraction(0))
-                 for schedule in _vector_serve(inst, partition, i, d_met,
+                 for schedule in _vector_serve(inst, partition, i, d_met, 1,
                                                money1, money2))
+
+
+# The ``Fraction`` right-to-left serve walk that the scaled-integer
+# ``kernel.ServeCurve`` replaced, unchanged (reference for
+# ``ServeCurve``, ``serve_schedule`` and ``demand_met``).
+
+
+class ReferenceServeCurve:
+    """Uncapped right-to-left serve of one client class by facility i.
+
+    ``d_met`` units of the class are already met right to left by later
+    facilities.  Spending money x on the residual clients, from the
+    right, serves f(x); ``money[k]`` and ``amount[k]`` are the money
+    and amount once the first k of them are fully served.  The walk
+    stops at the first infinite cost, and f is constant from
+    ``money[-1]`` (the saturation money) on.
+    """
+
+    __slots__ = ("clients", "money", "amount")
+
+    def __init__(self, inst: Instance, i: int, members: Sequence[int],
+                 d_met: Amount):
+        self.clients: List[Tuple[int, int]] = []  # (client, cost) in order
+        self.money: List[Amount] = [0]
+        self.amount: List[Amount] = [0]
+        left = d_met
+        for j in reversed(members):
+            r = inst.demand(j)
+            if left > 0:
+                take = min(r, left)
+                r -= take
+                left -= take
+            if r == 0:
+                continue
+            c = inst.cost(i, j)
+            if is_inf(c):
+                break
+            self.clients.append((j, c))
+            self.money.append(self.money[-1] + c * r)
+            self.amount.append(self.amount[-1] + r)
+
+    def served(self, money: Amount) -> Amount:
+        """f(money): demand served before the capacity binds."""
+        k = bisect_right(self.money, money) - 1
+        if k == len(self.clients):
+            return self.amount[k]
+        # a zero-cost next client would share money[k], so its cost is > 0
+        return self.amount[k] + Fraction(money - self.money[k],
+                                         self.clients[k][1])
+
+    def schedule(self, money: Amount, cap: Amount,
+                 ) -> List[Tuple[int, Fraction]]:
+        """(client, amount) served with ``money`` and capacity ``cap``."""
+        left = min(cap, self.served(money))
+        out: List[Tuple[int, Fraction]] = []
+        for k, (j, _) in enumerate(self.clients):
+            if left <= 0:
+                break
+            take = min(self.amount[k + 1] - self.amount[k], left)
+            out.append((j, Fraction(take)))
+            left -= take
+        return out
+
+
+def _reference_money_after_opening(inst: Instance, i: int, d_met: Amount,
+                                   budget: Amount) -> Amount:
+    """Budget left once facility i is open; negative if it cannot open."""
+    if d_met < 0 or budget < 0:
+        raise ValueError("d_met and budget must be nonnegative")
+    if d_met > inst.total_demand:
+        raise ValueError("d_met must not exceed the total demand")
+    return budget - inst.facilities[i - 1].open_cost
+
+
+def reference_serve_schedule(inst: Instance, i: int, d_met: Amount,
+                             budget: Amount,
+                             ) -> Tuple[Amount, List[Tuple[int, Amount]]]:
+    """Open facility i and serve residual demand right-to-left on a budget.
+
+    Returns (total served, [(client, amount)] in serving order).  Serves
+    nothing if the budget cannot cover the opening cost.  Serving stops
+    at the first client it cannot serve fully (budget or capacity bound)
+    or whose cost from i is infinite; fractional amounts are exact
+    rationals.
+    """
+    money = _reference_money_after_opening(inst, i, d_met, budget)
+    if money < 0:
+        return Fraction(0), []
+    served = ReferenceServeCurve(inst, i, range(1, inst.n + 1),
+                                 d_met).schedule(
+        money, inst.facilities[i - 1].capacity)
+    return sum((amount for _, amount in served), Fraction(0)), served
+
+
+def reference_demand_met(inst: Instance, i: int, d_met: Amount,
+                         budget: Amount) -> Amount:
+    """Demand facility i can meet with the given budget, after d_met was
+    already met right-to-left by later facilities.  Never exceeds U_i."""
+    money = _reference_money_after_opening(inst, i, d_met, budget)
+    if money < 0:
+        return Fraction(0)
+    return min(inst.facilities[i - 1].capacity,
+               ReferenceServeCurve(inst, i, range(1, inst.n + 1),
+                                   d_met).served(money))
 
 
 def exact_value_function(inst: Instance, i: int, b: int,

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, file outputs, reports."""
 
+import copy
 import csv
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mongecfl import io as mio
 from mongecfl.cli import _ratio, main
@@ -186,6 +189,24 @@ def test_bench_over_oracle_demand_cap(tmp_path, capsys):
     assert [row["algorithm"] for row in rows] == ["exact", "fptas"]
     assert rows[0]["cost"] == "202"
     assert all(row["oracle_cost"] == row["ratio"] == "" for row in rows)
+
+
+def test_bench_over_exact_demand_cap(tmp_path, capsys):
+    # --exact-max-demand above the exact DP's own cap must not let its
+    # DemandCapExceeded through: the exact row is skipped instead
+    inst = Instance([Facility(1, 2_000_000)], [Client(1_000_001)], [[1]])
+    mio.save_instance(inst, tmp_path / "huge.json")
+    csv_path = tmp_path / "report.csv"
+    code, out, err = run(capsys, "bench", "--suite",
+                         str(tmp_path / "*.json"), "--epsilons", "1",
+                         "--exact-max-demand", "2000000",
+                         "--csv", str(csv_path))
+    assert code == 0 and err == ""
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["algorithm"] for row in rows] == ["exact", "fptas"]
+    assert rows[0]["cost"] == "skipped"
+    assert Fraction(rows[1]["cost"]) <= 2 * 1_000_002
 
 
 def test_json_booleans_rejected(tmp_path, capsys):
@@ -468,3 +489,99 @@ def test_output_into_missing_directory(tmp_path, capsys, command):
     assert code == 1 and out == ""
     assert one_line_error(err) and str(target) in err
     assert not target.exists()
+
+
+# Fuzzing: malformed JSON of every input kind, fed through ``main``.
+
+_KEYS = ("facilities", "clients", "costs", "open_cost", "capacity", "demand",
+         "release", "deadline", "horizon", "orders", "demands", "holding",
+         "period", "item", "amount", "cost", "s1", "s2")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.text(max_size=3)
+    | st.sampled_from([0.5, 2**63, 10**30, "inf", "1"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_KEYS)
+                                     | st.text(max_size=3), inner,
+                                     max_size=3)),
+    max_leaves=8)
+_VALID = {
+    "instance": {"facilities": [{"open_cost": 2, "capacity": 4},
+                                {"open_cost": 1, "capacity": 3}],
+                 "clients": [{"demand": 2, "release": 1, "deadline": 1},
+                             {"demand": 3, "release": 1, "deadline": 2}],
+                 "costs": [[1, 3], ["inf", 1]]},
+    "lot-sizing": {"horizon": 2,
+                   "orders": [{"cost": 1, "capacity": 5},
+                              {"cost": 2, "capacity": 5}],
+                   "demands": [{"period": 1, "item": 0, "amount": 2},
+                               {"period": 2, "item": 1, "amount": 3}],
+                   "holding": [2]},
+    "partition": {"s1": [1], "s2": [2]},
+}
+_COMMANDS = {
+    "instance": (["solve"],
+                 ["solve", "--algorithm", "fptas", "--epsilon", "1/2"],
+                 ["solve", "--algorithm", "two-class", "--epsilon", "1/2"],
+                 ["check"], ["check", "--mode", "adjacent"],
+                 ["check", "--mode", "windowed"],
+                 ["convert", "--from", "single-demand", "--output", "{out}"]),
+    "lot-sizing": (["convert", "--from", "lot-sizing", "--output", "{out}"],
+                   ["convert", "--from", "multi-item", "--output", "{out}"]),
+    "partition": (["solve", "--algorithm", "two-class", "--epsilon", "1/2",
+                   "--partition", "{input}", "--input", "{instance}"],),
+}
+
+
+def _slots(node):
+    """(container, key) of every value inside a JSON document."""
+    keys = (node.keys() if isinstance(node, dict)
+            else range(len(node)) if isinstance(node, list) else ())
+    for key in keys:
+        yield node, key
+        yield from _slots(node[key])
+
+
+@st.composite
+def _malformed(draw, kind):
+    """A valid document of ``kind`` with one to three values replaced,
+    deleted or appended, or any JSON value at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    doc = copy.deepcopy(_VALID[kind])
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(("replace", "delete", "append")))
+        if action == "replace":
+            node[key] = draw(_JSON)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, list):
+            node.append(draw(_JSON))
+        else:
+            node[draw(st.sampled_from(_KEYS))] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_json_never_tracebacks(tmp_path, capsys, data):
+    kind = data.draw(st.sampled_from(sorted(_VALID)))
+    command = data.draw(st.sampled_from(_COMMANDS[kind]))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data.draw(_malformed(kind))))
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(_VALID["instance"]))
+    out = tmp_path / "out.json"
+    argv = [arg.format(input=path, instance=instance, out=out)
+            for arg in command]
+    if "--input" not in argv:
+        argv += ["--input", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3), (argv, path.read_text())
+    assert "Traceback" not in err
+    assert err == "" or one_line_error(err) or err.startswith(
+        "internal error"), err

@@ -109,6 +109,14 @@ def test_from_served(ref1):
     assert solution.assignment.cost == 6 and type(solution.assignment.cost) is int
     assert solution.total_cost == 19 and type(solution.total_cost) is int
     assert certify_solution(ref1, solution) == []
+    # an equal solution shares its open set and shares; equal rational
+    # costs stay Fractions
+    again = Solution.from_served(
+        ref1, [(1, 1, Fraction(2)), (1, 2, Fraction(1)), (2, 2, Fraction(2))])
+    assert again.open is solution.open
+    assert again.assignment.entries[(2, 2)] is \
+        solution.assignment.entries[(2, 2)]
+    assert again.total_cost == 19 and type(again.total_cost) is Fraction
 
 
 def test_from_served_opens_only_serving_facilities(ref1):

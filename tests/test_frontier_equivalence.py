@@ -8,6 +8,7 @@ or over the best cover's budget, and rebuilds schedules lazily; none
 of that may change a single field of the result.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ import pytest
 import conftest
 from conftest import (ReferenceEntry, reference_prune,
                       reference_run_two_class, vector_demand_met)
+from mongecfl import extensions
 from mongecfl.extensions import ClientPartition, _prune, run_two_class_fptas
 from mongecfl.generate import random_monge_instance, random_two_class_instance
 from mongecfl.model import INF, Client, Facility, Instance
@@ -147,7 +149,32 @@ def test_infinite_cost_stops_the_walk():
                              (0, 0), 100, 0) == (2, 0)
 
 
-def test_keys_above_int64():
+def test_coprime_costs_compound_denominators(reference_levels):
+    # every level divides by costs coprime to those of the other rows,
+    # so the demands' common denominator gains a factor from each row
+    rows = [[19, 23, 29], [13, 17, 31], [7, 11, 37]]
+    inst = Instance([Facility(2, 4)] * 3, [Client(3), Client(5), Client(2)],
+                    rows)
+    for partition, eps in ((ClientPartition((1, 2, 3), ()), 1),
+                           (ClientPartition((1, 2, 3), ()), Fraction(1, 2)),
+                           (ClientPartition((1,), (2, 3)), 1),
+                           (ClientPartition((2, 3), (1,)), 1)):
+        reference_levels.clear()
+        assert_same_result(inst, partition, eps)
+        candidates, _ = reference_levels[-1]
+        scale = math.lcm(*(d.denominator for e in candidates
+                           for d in (e.d1, e.d2)))
+        assert all(math.gcd(scale, math.prod(row)) > 1 for row in rows)
+
+
+def test_keys_above_int64(monkeypatch):
+    widths = []  # per level: does a scaled demand key pass int64?
+
+    def spy(b0, b1, b2, d1, d2):
+        widths.append(max(*d1, *d2) >= 2**63)
+        return _prune(b0, b1, b2, d1, d2)
+
+    monkeypatch.setattr(extensions, "_prune", spy)
     big = 2**64
     inst = Instance([Facility(big, 5), Facility(3 * big, 5)],
                     [Client(2), Client(3)],
@@ -156,6 +183,17 @@ def test_keys_above_int64():
                       ClientPartition((1,), (2,))):
         result = assert_same_result(inst, partition, Fraction(1, 2))
         assert result.bound > 2**63
+    # budgets stay small, but the last level divides by the odd cost
+    # 2^64 + 1, so only there do the scaled demand keys pass int64
+    inst = Instance([Facility(1, 5), Facility(2, 4), Facility(1, 4)],
+                    [Client(2), Client(3)],
+                    [[big + 1, 2 * big + 1], [3, 5], [7, 11]])
+    for partition in (ClientPartition((1,), (2,)),
+                      ClientPartition((2,), (1,))):
+        widths.clear()
+        result = assert_same_result(inst, partition, Fraction(1, 2))
+        assert widths == [False, False, True]
+        assert result.bound < 2**63
 
 
 def test_prune_matches_reference_order():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import greedy_transport, recompute_flow_cost
+from conftest import (greedy_transport, recompute_flow_cost,
+                      reference_demand_met, reference_serve_schedule)
 from mongecfl.generate import monge_cost_matrix, random_monge_instance
 from mongecfl.kernel import Flow, demand_met, greedy_serve, serve_schedule
-from mongecfl.model import INF, is_inf
+from mongecfl.model import INF, Client, Facility, Instance, is_inf
 
 
 def test_greedy_transport_examples():
@@ -186,3 +187,43 @@ def test_serve_schedule_stops_at_infinite_cost():
     total, served = serve_schedule(inst, 1, 0, 100)
     # right-to-left serving may not skip client 2
     assert total == 0 and served == []
+
+
+def _random_amount(rng, top):
+    """An int, an integral Fraction or a proper Fraction in [0, top]."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(0, top)
+    if kind == 1:
+        return Fraction(rng.randint(0, top))
+    q = rng.choice((2, 3, 7, 10, 2**61 - 1))
+    return Fraction(rng.randint(0, top * q), q)
+
+
+def test_integer_walk_matches_fraction_walk():
+    """Values and types of the scaled-integer walk equal those of the
+    reference Fraction walk, over int and Fraction met demands and
+    budgets, infinite and zero costs, and costs above int64."""
+    rng = random.Random(808)
+    for _ in range(400):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        big = rng.random() < 0.2
+        costs = [[rng.choice((INF, 0, rng.randint(1, 13),
+                              rng.randint(1, 4) * 2**64 if big else 1))
+                  for _ in range(n)] for _ in range(m)]
+        inst = Instance([Facility(rng.randint(0, 6), rng.randint(1, 9))
+                         for _ in range(m)],
+                        [Client(rng.randint(0, 6)) for _ in range(n)], costs)
+        i = rng.randint(1, m)
+        d_met = _random_amount(rng, inst.total_demand)
+        budget = _random_amount(rng, 2**66 if big else 80)
+        got = demand_met(inst, i, d_met, budget)
+        want = reference_demand_met(inst, i, d_met, budget)
+        assert (got, type(got)) == (want, type(want)), (inst, i, d_met, budget)
+        total, schedule = serve_schedule(inst, i, d_met, budget)
+        want_total, want_schedule = reference_serve_schedule(inst, i, d_met,
+                                                             budget)
+        assert (total, type(total)) == (want_total, type(want_total))
+        assert schedule == want_schedule
+        assert [type(a) for _, a in schedule] == [type(a) for _, a in
+                                                  want_schedule]
