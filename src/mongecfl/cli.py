@@ -71,6 +71,18 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _epsilon(text: str) -> Fraction:
+    """``text`` as a positive rational; ValueError otherwise."""
+    try:
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"epsilon {text!r} is not a rational number") \
+            from None
+    if eps <= 0:
+        raise ValueError(f"epsilon {text!r} must be positive")
+    return eps
+
+
 def _load(path: str) -> Instance:
     inst = mio.load_instance(path)
     problems = [p for p in validate_instance(inst)
@@ -87,6 +99,10 @@ def cmd_solve(args) -> int:
         return _fail(f"cannot read instance: {exc}", EXIT_INPUT)
     if args.algorithm in ("fptas", "two-class") and args.epsilon is None:
         return _fail("--epsilon is required for this algorithm", EXIT_INPUT)
+    try:
+        eps = None if args.epsilon is None else _epsilon(args.epsilon)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
     partition = ClientPartition(range(1, inst.n + 1), ())
     if args.algorithm == "two-class" and args.partition:
         try:
@@ -104,7 +120,6 @@ def cmd_solve(args) -> int:
                 print(json.dumps(asdict(report)))
                 return EXIT_INFEASIBLE
         else:
-            eps = Fraction(args.epsilon)
             result = (run_fptas(inst, eps) if args.algorithm == "fptas"
                       else run_two_class_fptas(inst, partition, eps))
             solution = result.solution
@@ -201,6 +216,10 @@ def cmd_convert(args) -> int:
 def cmd_generate(args) -> int:
     if args.m < 1 or args.n < 1:
         return _fail("--m and --n must be positive", EXIT_INPUT)
+    if args.max_demand < 1:
+        return _fail("--max-demand must be positive", EXIT_INPUT)
+    if args.max_cost < 0:
+        return _fail("--max-cost must be nonnegative", EXIT_INPUT)
     rng = random.Random(args.seed)
     if args.kind == "monge":
         inst = random_monge_instance(rng, args.m, args.n,
@@ -220,7 +239,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    epsilons = [e for e in args.epsilons.split(",") if e]
+    try:
+        epsilons = [(e, _epsilon(e)) for e in args.epsilons.split(",") if e]
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
     paths = sorted(glob.glob(args.suite))
     rows: List[dict] = []
     fieldnames = ["instance", "m", "n", "total_demand", "algorithm",
@@ -262,14 +284,13 @@ def cmd_bench(args) -> int:
         else:
             record("exact", None, solution.total_cost,
                    time.perf_counter() - start)
-        for eps in epsilons:
+        for text, eps in epsilons:
             start = time.perf_counter()
             try:
-                result = run_fptas(inst, Fraction(eps))
-                cost = result.solution.total_cost
+                cost = run_fptas(inst, eps).solution.total_cost
             except Infeasible:
                 cost = float("inf")
-            record("fptas", eps, cost, time.perf_counter() - start)
+            record("fptas", text, cost, time.perf_counter() - start)
     with open(args.csv, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()

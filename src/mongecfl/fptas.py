@@ -4,14 +4,18 @@ Three pieces: a per-facility contribution bound found by binary search,
 the rounded value-function table over budgets restricted to multiples of
 K, and (1+eps) solution extraction by backpointer replay.
 
-The table is stored as integers scaled by a power of lcm(costs).  Every
-value the recurrence can produce is a rational whose denominator
-divides lcm(costs)**m: each facility level introduces at most one
-division, by one cost entry (the budget-limited partial client).  The
-fill starts from a small exponent and escalates when a division is
-inexact.  numpy int64 is used when the scaled magnitudes fit, and
-object arrays of Python ints otherwise, so the arithmetic is exact
-either way.
+Each level of the table is stored as integers over its own scale.
+Every value the recurrence produces is a rational demand, and each
+facility level adds at most one division, by one cost of its own row
+(the budget-limited partial client).  So level i reads the row below,
+over its scale S, and writes its values over unit = S * L_i, with L_i
+the lcm of row i's finite costs above 1 (``kernel.cost_lcm``): every
+partial serve e * L_i / c is then a whole number.  The row and its
+scale are then divided by their gcd, which leaves the smallest scale
+that keeps the row whole.  Values within one row share one scale, so
+the comparisons that pick each value and backpointer are the same as
+in exact rational arithmetic.  numpy int64 is used for a level when its
+scaled magnitudes fit, and object arrays of Python ints otherwise.
 
 Table fill.  Row i at grid index s is the best, over carry-over
 offsets t <= s, of prev[t] (the demand facilities i+1..m meet within
@@ -23,21 +27,15 @@ into at most n+2 index ranges of q:
 
 * pre-open, q*K < open_cost: nothing is served;
 * one linear segment [lo, hi) per client served at a positive rate r,
-  where the scaled served demand is A + extra(q) / r.  extra(q) is the
-  scaled money spent past the segment's breakpoint, so
-  extra(q) = e0 + (q - lo)*K*scale with e0 = extra(lo).  The segment is
+  where the served demand, over unit, is A + extra(q) * L_i / r.
+  extra(q) is the money (over S) spent past the segment's breakpoint,
+  so extra(q) = e0 + (q - lo)*K*S with e0 = extra(lo).  The segment is
   written as one strided slice (arange * step + const, with arange *
   step built once per rate and level) and merged into the row where it
   is larger;
 * the saturated tail past the last breakpoint, where served demand is
   a constant A_L.  Free (zero-cost) clients have empty index ranges and
   only add to the next segment's A.
-
-Exactness is checked once per segment instead of once per point: every
-extra(q) on [lo, hi) is a multiple of r exactly when r divides e0 and,
-if the segment has more than one point, r divides K*scale (consecutive
-points differ by K*scale).  So a fill raises on exactly the scales
-where some evaluated point would have an inexact division.
 
 Row i is the lexicographic max over (value, -t) of all these offers: a
 larger value wins, and equal values keep the smallest carry-over t.
@@ -60,10 +58,6 @@ Only the first t of each run of equal values in prev is walked.  If
 prev[t] = prev[t - 1], both offsets walk the same serve curve f, so the
 offer of t at s, prev[t] + f(s - t), is at most that of t - 1,
 prev[t] + f(s - t + 1) (f is nondecreasing), and t - 1 wins ties.
-Every segment of t has the same e0 as the matching segment of t - 1 and
-a range no longer than it, so t raises ``_ScaleError`` only if t - 1
-already did: the skipped offsets change neither the table nor the
-fills that escalate.
 """
 
 from __future__ import annotations
@@ -173,77 +167,34 @@ def find_budget_bound(inst: Instance) -> int:
     return inst.m * find_min_contribution(inst)
 
 
-def _cost_scale_base(inst: Instance) -> int:
-    """lcm of the finite nonzero cost entries."""
-    return math.lcm(*map(cost_lcm, inst.costs))
-
-
-class _ScaleError(Exception):
-    """A scaled division came out inexact; retry with a larger scale."""
-
-
 @dataclass
 class ValueTable:
     """Rounded value functions over the budget grid, with backpointers.
 
     rows[i-1][t] is the maximum demand facilities i..m can meet within
-    budget t*K, scaled by ``scale``; rows[m] is the all-zero base level.
-    choices[i-1][t] is the grid index of the maximizing carry-over
-    budget b'.
+    budget t*K, as an integer over ``scales[i-1]``, the smallest scale
+    that keeps the whole row integral; rows[m] is the all-zero base
+    level.  choices[i-1][t] is the grid index of the maximizing
+    carry-over budget b'.
     """
 
     grid: BudgetGrid
-    scale: int
+    scales: List[int]
     rows: List[np.ndarray]
     choices: List[np.ndarray]
     curves: int = 0  # (facility, carry-over) serve curves the fill walked
 
+    @property
+    def scale(self) -> int:
+        """The scale of the top row, rows[0]."""
+        return self.scales[0]
+
     def value(self, i: int, b: int) -> Fraction:
-        return Fraction(int(self.rows[i - 1][self.grid.index(b)]), self.scale)
+        return Fraction(int(self.rows[i - 1][self.grid.index(b)]),
+                        self.scales[i - 1])
 
     def choice(self, i: int, b: int) -> int:
         return int(self.choices[i - 1][self.grid.index(b)]) * self.grid.K
-
-
-def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
-    """Fill the rounded recurrence bottom-up from the last facility.
-
-    Ties in the maximization break toward the smallest carry-over
-    budget b'.
-
-    Each (facility, carry-over budget) serve curve is evaluated one
-    segment at a time: one strided slice per linear piece, and a
-    saturated tail that is deferred to a per-row running max (see the
-    module docstring).  A linear piece extra(q) = e0 + (q - lo)*K*scale
-    divides exactly by its rate r at every point iff r | e0 and, for
-    pieces of two or more points, r | K*scale, so inexactness is
-    detected once per piece.  The pre-open ranges of all carry-overs
-    are one vectorised offer per row.  Deferred tails and pre-open
-    ranges merge under the lexicographic max over (value, -t), which
-    keeps the tie-break toward the smallest carry-over budget.
-
-    Only the first carry-over of each run of equal values in the row
-    below builds a serve curve: a later one of the same run walks the
-    same curve one grid step later, so it never wins and raises
-    ``_ScaleError`` only where the first one already did.  ``curves``
-    counts the curves the successful fill walked.
-
-    Values are stored as integers scaled by lcm(costs)**k.  Denominators
-    only enter through the budget-limited partial serve, one cost factor
-    per facility level, so k = m always suffices; most tables need far
-    less, so the fill starts with a small k and retries with a larger
-    one whenever a scaled division comes out inexact.  An exponent that
-    ran to completion without tripping that check yields an exact table.
-    """
-    base = _cost_scale_base(inst)
-    k = min(inst.m, 2)
-    while True:
-        try:
-            return _fill_table(inst, grid, base ** k)
-        except _ScaleError:
-            if k >= inst.m:
-                raise
-            k = min(inst.m, k * 2)
 
 
 def _offer(row: np.ndarray, choice: np.ndarray, lo: int, hi: int,
@@ -287,33 +238,61 @@ def _merge_tails(row: np.ndarray, choice: np.ndarray,
            np.array(carries, dtype=np.int64))
 
 
-def _fill_table(inst: Instance, grid: BudgetGrid, scale: int) -> ValueTable:
+def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
+    """Fill the rounded recurrence bottom-up from the last facility.
+
+    Ties in the maximization break toward the smallest carry-over
+    budget b'.
+
+    Each (facility, carry-over budget) serve curve is evaluated one
+    segment at a time: one strided slice per linear piece, and a
+    saturated tail that is deferred to a per-row running max (see the
+    module docstring).  The pre-open ranges of all carry-overs are one
+    vectorised offer per row.  Deferred tails and pre-open ranges merge
+    under the lexicographic max over (value, -t), which keeps the
+    tie-break toward the smallest carry-over budget.
+
+    Only the first carry-over of each run of equal values in the row
+    below builds a serve curve: a later one of the same run walks the
+    same curve one grid step later, so it never wins.  ``curves``
+    counts the curves the fill walked.
+
+    Level i reads the row below over its scale S and writes over
+    unit = S * cost_lcm(row i): met demand and money stay over S, and a
+    partial serve e0 * lcm // c is exact.  The row and its scale are
+    then reduced by their gcd.  A level is int64 when its largest scaled
+    magnitude, (money_max + total demand) * unit, fits.
+    """
+    size, K = grid.size, grid.K
     # headroom for scaled money values: serve-everything cost can exceed
     # the grid endpoint, so bound by whichever is larger
-    money_max = max((grid.size - 1) * grid.K, contribution_search_limit(inst))
-    max_scaled = (money_max + inst.total_demand) * scale
-    dtype: object = np.int64 if max_scaled < 2**62 else object
-    size, K = grid.size, grid.K
-    step_money = K * scale  # scaled money one grid step adds
-    demands = [inst.demand(j) * scale for j in range(inst.n, 0, -1)]
-    ramp = np.arange(size, dtype=dtype)
+    money_max = max((size - 1) * K, contribution_search_limit(inst))
+    headroom = money_max + inst.total_demand
+    demands = [inst.demand(j) for j in range(inst.n, 0, -1)]
     index = np.arange(size, dtype=np.int64)
     rows: List[np.ndarray] = [None] * (inst.m + 1)  # type: ignore[list-item]
     choices: List[np.ndarray] = [None] * inst.m  # type: ignore[list-item]
-    rows[inst.m] = np.zeros(size, dtype=dtype)
+    scales = [1] * (inst.m + 1)
+    rows[inst.m] = np.zeros(size, dtype=np.int64)
     curves = 0
     for i in range(inst.m, 0, -1):
         facility = inst.facilities[i - 1]
+        scale = scales[i]  # of the row below, and of met demand and money
+        lcm = cost_lcm(inst.costs[i - 1])
+        unit = scale * lcm  # of this level's values
+        dtype: object = np.int64 if headroom * unit < 2**62 else object
+        step_money = K * scale  # scaled money one grid step adds
         open_money = facility.open_cost * scale
         q_open = -(-facility.open_cost // K)  # first offset paying open_cost
         # clients right to left: (scaled demand, cost from facility i)
-        links = list(zip(demands, [inst.cost(i, j)
-                                   for j in range(inst.n, 0, -1)]))
+        links = list(zip([d * scale for d in demands],
+                         [inst.cost(i, j) for j in range(inst.n, 0, -1)]))
         prev = rows[i]
+        ramp = np.arange(size, dtype=dtype)
         row = np.full(size, -1, dtype=dtype)
         choice = np.zeros(size, dtype=np.int64)
         tails: List[Optional[Tuple[int, int]]] = [None] * size
-        slopes: Dict[int, np.ndarray] = {}  # rate r -> ramp * (K*scale // r)
+        slopes: Dict[int, np.ndarray] = {}  # rate c -> ramp * (K*unit // c)
         # prev is nondecreasing; only the first offset of each run of
         # equal values can win (see the module docstring)
         starts = np.concatenate(([0], np.flatnonzero(prev[1:] != prev[:-1])
@@ -340,11 +319,10 @@ def _fill_table(inst: Instance, grid: BudgetGrid, scale: int) -> ValueTable:
                     end = min(hi, width)
                     if lo < end:
                         e0 = lo * step_money - open_money - spent
-                        if e0 % c or (end - lo > 1 and step_money % c):
-                            raise _ScaleError
                         if c not in slopes:
-                            slopes[c] = ramp * (step_money // c)
-                        cand = slopes[c][:end - lo] + (met + served + e0 // c)
+                            slopes[c] = ramp * (step_money * lcm // c)
+                        cand = slopes[c][:end - lo] + (
+                            (met + served) * lcm + e0 * lcm // c)
                         _offer(row, choice, t + lo, t + end, cand, t)
                     lo = hi
                     spent += c * amt
@@ -353,21 +331,23 @@ def _fill_table(inst: Instance, grid: BudgetGrid, scale: int) -> ValueTable:
                 if amt < residual:
                     break
             if lo < width:  # saturated from t + lo on: record the start
+                value = (met + served) * lcm
                 tail = tails[t + lo]
-                if tail is None or met + served > tail[0]:
-                    tails[t + lo] = (met + served, t)
+                if tail is None or value > tail[0]:
+                    tails[t + lo] = (value, t)
         if q_open > 0:
             # pre-open: prev[s] from the smallest offset t in
             # (s - q_open, s] with prev[t] = prev[s]
             run_start = np.zeros(size, dtype=np.int64)
             run_start[starts] = starts
             np.maximum.accumulate(run_start, out=run_start)
-            _merge(row, choice, prev,
+            _merge(row, choice, prev.astype(dtype) * lcm,
                    np.maximum(run_start, index - (q_open - 1)))
         _merge_tails(row, choice, tails)
-        rows[i - 1] = row
-        choices[i - 1] = choice
-    return ValueTable(grid, scale, rows, choices, curves)
+        g = math.gcd(unit, int(np.gcd.reduce(row)))
+        row //= g
+        rows[i - 1], choices[i - 1], scales[i - 1] = row, choice, unit // g
+    return ValueTable(grid, scales, rows, choices, curves)
 
 
 @dataclass(frozen=True)

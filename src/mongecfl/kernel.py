@@ -12,8 +12,8 @@ extraction in ``extensions``.  The FPTAS table fill walks the same
 curve in scaled integers, inline, as its hot loop.
 
 Everything here is a pure function over an immutable Instance.  Amounts
-are exact: scaled integers inside the walk, and ``int`` or ``Fraction``
-at the boundary of ``serve_schedule``, ``demand_met`` and
+are exact: scaled integers inside the walk, and ``Fraction`` at the
+boundary of ``serve_schedule``, ``demand_met`` and
 ``ServeCurve.schedule``.
 """
 
@@ -231,26 +231,13 @@ def serve_schedule(inst: Instance, i: int, d_met: Amount, budget: Amount,
             curve.schedule(money, cap))
 
 
-def demand_met(inst: Instance, i: int, d_met: Amount, budget: Amount) -> Amount:
+def demand_met(inst: Instance, i: int, d_met: Amount, budget: Amount,
+               ) -> Fraction:
     """Demand facility i can meet with the given budget, after d_met was
-    already met right-to-left by later facilities.  Never exceeds U_i.
-
-    An int when the capacity binds, or when the money covers every
-    client the walk reaches and none of them was left partly met by a
-    ``Fraction`` d_met; a ``Fraction`` otherwise.
-    """
+    already met right-to-left by later facilities.  Never exceeds U_i."""
     walk = _open_curve(inst, i, d_met, budget)
     if walk is None:
         return Fraction(0)
     curve, money = walk
-    cap = inst.facilities[i - 1].capacity
-    served = curve.served(money)
-    if served >= cap * curve.unit:
-        return cap
-    # a client partly met by d_met can only be the first one served
-    partly_met = (isinstance(d_met, Fraction) and curve.clients
-                  and curve.amount[1] != curve.unit
-                  * inst.demand(curve.clients[0][0]))
-    if money >= curve.money[-1] and not partly_met:
-        return served // curve.unit
-    return Fraction(served, curve.unit)
+    cap = inst.facilities[i - 1].capacity * curve.unit
+    return Fraction(min(cap, curve.served(money)), curve.unit)

@@ -16,9 +16,9 @@ import pytest
 
 from mongecfl.exact import DEFAULT_DEMAND_CAP, DemandCapExceeded, Solution
 from mongecfl.extensions import TwoClassResult, _vector_serve
-from mongecfl.fptas import (BudgetGrid, ValueTable, _ScaleError,
+from mongecfl.fptas import (BudgetGrid, ValueTable,
                             contribution_search_limit, find_budget_bound)
-from mongecfl.kernel import Amount, Flow, demand_met, greedy_serve
+from mongecfl.kernel import Amount, Flow, cost_lcm, demand_met, greedy_serve
 from mongecfl.model import (INF, Client, Cost, Facility, Infeasible,
                             Instance, MongeWitness, is_inf)
 from mongecfl.reductions import LotSizingInstance
@@ -288,6 +288,15 @@ def exact_value_function(inst: Instance, i: int, b: int,
     return value(i, b)
 
 
+def _cost_scale_base(inst: Instance) -> int:
+    """lcm of the finite nonzero cost entries."""
+    return math.lcm(*map(cost_lcm, inst.costs))
+
+
+class _ScaleError(Exception):
+    """A scaled division came out inexact; retry with a larger scale."""
+
+
 class _ServeCurve:
     """Demand served by one facility as a function of spend, at a fixed
     already-met demand; exact in scaled-integer arithmetic."""
@@ -382,7 +391,24 @@ def reference_fill_table(inst: Instance, grid: BudgetGrid,
             choice[t:][better] = t
         rows[i - 1] = row
         choices[i - 1] = choice
-    return ValueTable(grid, scale, rows, choices)
+    return ValueTable(grid, [scale] * (inst.m + 1), rows, choices)
+
+
+def reference_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
+    """``reference_fill_table`` over one scale for the whole table,
+    lcm(costs)**k: k starts at min(m, 2) and doubles, capped at m,
+    whenever a scaled division comes out inexact.  Denominators only
+    enter through the budget-limited partial serve, one cost factor per
+    facility level, so k = m always suffices."""
+    base = _cost_scale_base(inst)
+    k = min(inst.m, 2)
+    while True:
+        try:
+            return reference_fill_table(inst, grid, base ** k)
+        except _ScaleError:
+            if k >= inst.m:
+                raise
+            k = min(inst.m, k * 2)
 
 
 def _reference_class_serve(inst: Instance, i: int, members, d_met, money,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mongecfl import cli
 from mongecfl import io as mio
 from mongecfl.cli import _ratio, main
 from mongecfl.model import Client, Facility, Instance
@@ -351,6 +352,26 @@ def test_generate_rejects_bad_size(tmp_path, capsys):
     assert code == 1 and "positive" in err
 
 
+@pytest.mark.parametrize("kind", ["monge", "lot-sizing", "windowed"])
+@pytest.mark.parametrize("flag, value", [("--max-demand", "0"),
+                                         ("--max-cost", "-1")])
+def test_generate_rejects_bad_bounds(tmp_path, capsys, monkeypatch, kind,
+                                     flag, value):
+    """Rejected before any draw: a lot-sizing draw with no positive
+    demand to pick would never end, the others raise a ValueError."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the generator ran")
+    for name in ("random_monge_instance", "random_lot_sizing",
+                 "random_windowed_instance"):
+        monkeypatch.setattr(cli, name, no_draw)
+    target = tmp_path / "x.json"
+    code, out, err = run(capsys, "generate", "--kind", kind, "--m", "3",
+                         "--n", "3", flag, value, "--output", str(target))
+    assert code == 1 and out == ""
+    assert one_line_error(err) and flag in err
+    assert not target.exists()
+
+
 def test_generate_windowed_and_lot_sizing(tmp_path, capsys):
     win = tmp_path / "win.json"
     code, _, _ = run(capsys, "generate", "--kind", "windowed",
@@ -385,6 +406,31 @@ def test_bench_csv(tmp_path, capsys):
         eps = Fraction(row["epsilon"])
         assert Fraction(row["ratio"]) <= 1 + eps
     assert by_algo["exact"][0]["cost"] == "11"
+
+
+BAD_EPSILONS = ["1/0", "abc", "0", "-1", "inf"]
+
+
+@pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+def test_solve_rejects_bad_epsilon(tmp_path, capsys, epsilon):
+    path = write_ref1(tmp_path)
+    for algorithm in ("fptas", "two-class"):
+        code, out, err = run(capsys, "solve", "--input", path,
+                             "--algorithm", algorithm, "--epsilon", epsilon)
+        assert code == 1 and out == ""
+        assert one_line_error(err) and "epsilon" in err
+
+
+@pytest.mark.parametrize("epsilons", BAD_EPSILONS + ["1,1/0", "1/2,abc"])
+def test_bench_rejects_bad_epsilon(tmp_path, capsys, epsilons):
+    """Every epsilon is parsed before any instance is solved."""
+    write_ref1(tmp_path)
+    csv_path = tmp_path / "report.csv"
+    code, out, err = run(capsys, "bench", "--suite", str(tmp_path / "*.json"),
+                         "--epsilons", epsilons, "--csv", str(csv_path))
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "epsilon" in err
+    assert not csv_path.exists()
 
 
 def test_bench_empty_suite(tmp_path, capsys):

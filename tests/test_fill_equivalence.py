@@ -1,40 +1,30 @@
-"""The table fill agrees bit for bit with the point-by-point reference.
+"""The table fill agrees with the point-by-point reference.
 
-Both fills run through the same base**k escalation ladder, so equal
-scales also mean both raised on exactly the same smaller exponents.
-The fill walks one serve curve per run of equal values in the row
-below, so every comparison also checks ``ValueTable.curves`` against
-the number of distinct values in those rows.
+The fill keeps each row over its own gcd-reduced scale, the reference
+keeps the whole table over one scale lcm(costs)**k found by its
+escalation ladder, so entries are compared as exact rationals and the
+backpointers bit for bit.  The fill walks one serve curve per run of
+equal values in the row below, so every comparison also checks
+``ValueTable.curves`` against the number of distinct values in those
+rows.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import extended_grid, reference_fill_table
-from mongecfl.fptas import (BudgetGrid, _cost_scale_base, _fill_table,
-                            _ScaleError, build_value_table, find_budget_bound)
+from conftest import (_cost_scale_base, _ScaleError, extended_grid,
+                      reference_fill_table, reference_value_table)
+from mongecfl.fptas import BudgetGrid, build_value_table, find_budget_bound
 from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
                                random_monge_instance)
 from mongecfl.model import INF, Client, Facility, Instance, is_inf
 from mongecfl.reductions import LotSizingInstance, lot_sizing_to_cfl
 
 EPSILONS = (1, Fraction(1, 2), Fraction(1, 10), Fraction(1, 30))
-
-
-def reference_value_table(inst, grid):
-    """``reference_fill_table`` behind build_value_table's ladder."""
-    base = _cost_scale_base(inst)
-    k = min(inst.m, 2)
-    while True:
-        try:
-            return reference_fill_table(inst, grid, base ** k)
-        except _ScaleError:
-            if k >= inst.m:
-                raise
-            k = min(inst.m, k * 2)
 
 
 def distinct_met_values(table):
@@ -44,11 +34,14 @@ def distinct_met_values(table):
 
 
 def assert_same_fill(got, want):
-    assert got.scale == want.scale
-    assert len(got.rows) == len(want.rows)
-    for a, b in zip(got.rows, want.rows):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
+    """Equal entries as exact rationals, every row of ``got`` reduced
+    to its smallest scale, and bit-identical backpointers."""
+    assert len(got.rows) == len(want.rows) == len(got.scales)
+    assert got.scale == got.scales[0]
+    for a, scale, b in zip(got.rows, got.scales, want.rows):
+        a, b = a.tolist(), b.tolist()
+        assert math.gcd(scale, *a) == 1
+        assert [v * want.scale for v in a] == [v * scale for v in b]
     for a, b in zip(got.choices, want.choices):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
@@ -56,17 +49,13 @@ def assert_same_fill(got, want):
 
 
 def assert_same_table(inst, grid):
-    """Compare both fills; returns (escalated, object dtype)."""
-    try:
-        expected = reference_value_table(inst, grid)
-    except _ScaleError:
-        with pytest.raises(_ScaleError):
-            build_value_table(inst, grid)
-        return True, False
+    """Compare both fills; returns (the reference escalated, the top
+    row is object dtype)."""
+    expected = reference_value_table(inst, grid)
     table = build_value_table(inst, grid)
     assert len(table.rows) == inst.m + 1
     assert_same_fill(table, expected)
-    escalated = table.scale != _cost_scale_base(inst) ** min(inst.m, 2)
+    escalated = expected.scale != _cost_scale_base(inst) ** min(inst.m, 2)
     return escalated, table.rows[0].dtype == np.dtype(object)
 
 
@@ -94,12 +83,15 @@ def test_random_int64_fills_match_reference():
 
 
 def test_staircase_fills_match_reference():
-    """Lot-sizing reductions: staircase inf costs, both dtypes."""
+    """Lot-sizing reductions: staircase inf costs, both dtypes.  The
+    last draw's holding costs near 2**40 push its scaled values past
+    2**62, into object dtype."""
     rng = random.Random(77)
     objects = int64s = 0
-    for _ in range(12):
+    for draw in range(13):
         ls = random_lot_sizing(rng, rng.randint(2, 7), max_cost=200,
-                               max_demand=30, max_capacity=60, feasible=True)
+                               max_demand=30, max_capacity=60, feasible=True,
+                               max_holding=10 if draw < 12 else 2**40)
         inst = lot_sizing_to_cfl(ls)
         assert any(is_inf(c) for row in inst.costs for c in row)
         B = find_budget_bound(inst)
@@ -109,6 +101,22 @@ def test_staircase_fills_match_reference():
             objects += is_object
             int64s += not is_object
     assert objects >= 1 and int64s >= 1
+
+
+def test_each_level_picks_its_own_dtype():
+    """Facility 2's cost 2**40 + 1 puts its level's unit, and so its
+    scaled values, past 2**62: object dtype.  It only serves client 2
+    for free, so its row reduces to scale 1, and the level above, whose
+    costs are 1, is int64 again."""
+    inst = Instance([Facility(0, 5), Facility(0, 2)], [Client(3), Client(2)],
+                    [[1, 1], [2**40 + 1, 0]])
+    grid = BudgetGrid.for_instance(2, find_budget_bound(inst),
+                                   Fraction(1, 2))
+    assert assert_same_table(inst, grid) == (False, False)
+    table = build_value_table(inst, grid)
+    assert [row.dtype for row in table.rows] == [
+        np.dtype(np.int64), np.dtype(object), np.dtype(np.int64)]
+    assert table.scales == [1, 1, 1]
 
 
 def dense_instance(seed):
@@ -133,24 +141,25 @@ def test_dense_escalating_fill_matches_reference():
         assert assert_same_table(inst, grid) == (True, False)
 
 
-def test_segment_exactness_is_checked_past_the_first_point():
-    """A segment whose first point divides but whose grid step K*scale
-    does not must raise; a one-point segment of that kind must not."""
+def test_half_unit_partial_serve_at_unit_grid_step():
+    """Served demand q/2 on a segment from q = 0, with K = 1: the
+    reference is inexact at scale 1 past the segment's first point, and
+    the fill keeps the level over scale 2.  A one-point segment of that
+    kind stays whole at scale 1."""
     inst = Instance([Facility(0, 10)], [Client(4)], [[2]])
-    # K*scale = 1: served demand is q/2 on the segment from q = 0
     grid = BudgetGrid(K=1, B=8, m=1, size=10)
     with pytest.raises(_ScaleError):
         reference_fill_table(inst, grid, 1)
-    with pytest.raises(_ScaleError):
-        _fill_table(inst, grid, 1)
+    assert_same_table(inst, grid)
+    table = build_value_table(inst, grid)
+    assert table.rows[0].tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 8]
+    assert table.scales == [2, 1]
     # demand 1 at rate 2 costs 2 < K = 3, so the segment is one point
     inst = Instance([Facility(0, 10)], [Client(1)], [[2]])
     grid = BudgetGrid(K=3, B=3, m=1, size=4)
-    want = reference_fill_table(inst, grid, 1)
-    got = _fill_table(inst, grid, 1)
-    assert all(np.array_equal(a, b) for a, b in zip(got.rows, want.rows))
-    assert all(np.array_equal(a, b)
-               for a, b in zip(got.choices, want.choices))
+    table = build_value_table(inst, grid)
+    assert_same_fill(table, reference_fill_table(inst, grid, 1))
+    assert table.scales == [1, 1]
 
 
 def test_fill_on_long_runs_of_equal_met_values():
@@ -188,22 +197,22 @@ def test_fill_on_long_runs_of_equal_met_values():
             assert_same_table(inst, BudgetGrid.for_instance(inst.m, B, eps))
 
 
-def test_scale_error_from_the_first_offset_of_a_run():
-    """At scale 1 the row below is [0, 1, 1, ...]: the run of 1s starts
-    at t = 1, whose serve curve is the first to divide inexactly (the
-    one at t = 0 stops at the capacity before reaching that client).
-    Every skipped t > 1 walks the same curve, so it would raise too."""
+def test_partial_serve_from_the_first_offset_of_a_run():
+    """The row below is [0, 1, 1, ...]: the run of 1s starts at t = 1,
+    whose serve curve is the first with a partial serve at rate 2 (the
+    one at t = 0 stops at the capacity before reaching that client), so
+    the reference is inexact at scale 1 there.  The fill keeps the top
+    level over scale 2 and the one below over scale 1."""
     inst = Instance([Facility(0, 1), Facility(0, 1)],
                     [Client(3), Client(1)], [[2, 1], [5, 1]])
     grid = BudgetGrid(K=1, B=6, m=2, size=8)
     with pytest.raises(_ScaleError):
         reference_fill_table(inst, grid, 1)
-    with pytest.raises(_ScaleError):
-        _fill_table(inst, grid, 1)
-    assert_same_fill(_fill_table(inst, grid, 2),
-                     reference_fill_table(inst, grid, 2))
-    assert _fill_table(inst, grid, 2).rows[1].tolist() == [0] + [2] * 7
     assert_same_table(inst, grid)
+    table = build_value_table(inst, grid)
+    assert table.rows[1].tolist() == [0] + [1] * 7
+    assert table.rows[0].tolist() == [0, 2, 3, 4, 4, 4, 4, 4]
+    assert table.scales == [2, 1, 1]
 
 
 def test_curves_count_runs_of_the_met_row():
@@ -214,5 +223,6 @@ def test_curves_count_runs_of_the_met_row():
                     [Client(3), Client(1)], [[1, 1], [5, 1]])
     grid = BudgetGrid(K=1, B=6, m=2, size=8)
     table = build_value_table(inst, grid)
-    assert table.rows[1].tolist() == [0] + [table.scale] * 7
+    assert table.rows[1].tolist() == [0] + [1] * 7
+    assert table.scales == [1, 1, 1]
     assert table.curves == 1 + 2 == distinct_met_values(table)
