@@ -194,7 +194,7 @@ def _save_monge_instance(inst: Instance, path: str) -> int:
 def cmd_convert(args) -> int:
     try:
         if args.source == "single-demand":
-            inst = mio.load_instance(args.input)
+            inst = _load(args.input)
             if inst.n != 1:
                 return _fail("single-demand conversion needs exactly one "
                              "client", EXIT_INPUT)

@@ -14,12 +14,12 @@ instances stay tractable.  Each facility level extends every frontier
 entry by "closed" and by every grid spend pair (s1, s2), then prunes.
 
 Serve curves.  For one frontier entry and one class, the demand the
-facility serves right to left, before its capacity binds, is a
-piecewise linear function f of the money spent, with one breakpoint
-(money, amount) per residual client: a ``kernel.ServeCurve`` over the
-class's clients.  It is built once per (entry, class); the facility
-then serves min(cap, f(s1)) of class 1 and min(cap - t1, f(s2)) of
-class 2, so class 1 is evaluated once per s1 and class 2 once per s2.
+facility serves right to left, up to its capacity, is a piecewise
+linear function f of the money spent, with one breakpoint (money,
+amount) per residual client it reaches: a ``kernel.ServeCurve`` over
+the class's clients.  It is built once per (entry, class); the facility
+then serves t1 = f(s1) of class 1 and min(cap - t1, f(s2)) of class 2,
+so class 1 is evaluated once per s1 and class 2 once per s2.
 
 Scaled integers.  A level's frontier holds its demands as integers
 over one scale S, the lcm of their denominators.  Level i divides by
@@ -32,11 +32,13 @@ prune restores the lcm of the denominators.  No ``Fraction`` is built
 before extraction.
 
 Spend loops.  A spend past round_up(saturation money) serves nothing
-more, so its candidate is strictly dominated by the one at that spend;
-the same holds past the spend at which the capacity binds.  Candidates
-whose budget sum exceeds the best cover found so far can neither be
-chosen nor dominate a candidate that can.  None of these is generated,
-and the pruned frontier is the same as with the full grid.
+more, so its candidate is strictly dominated by the one at that spend.
+The curve's saturation money is where the capacity binds if it does,
+so the s1 loop ends at the first spend that fills the capacity, and
+the s2 loop ends at the first spend that fills the room class 1 left.
+Candidates whose budget sum exceeds the best cover found so far can
+neither be chosen nor dominate a candidate that can.  None of these is
+generated, and the pruned frontier is the same as with the full grid.
 
 Integer-keyed prune.  The prune sorts candidates stably by (budget
 sum, b0, b1, b2, -d1, -d2) on the level's integer keys: int64, or
@@ -67,7 +69,7 @@ import numpy as np
 from .exact import Solution
 from .fptas import (BudgetGrid, Rational, find_budget_bound,
                     serve_everything_costs)
-from .kernel import Amount, ServeCurve, cost_lcm
+from .kernel import ServeCurve, cost_lcm
 from .model import Infeasible, Instance, MongeWitness, check_monge_full, is_inf
 
 
@@ -157,10 +159,10 @@ def _vector_serve(inst: Instance, partition: ClientPartition, i: int,
     lcm = cost_lcm(inst.costs[i - 1])
     curve1 = ServeCurve(inst, i, partition.s1, d_met[0], scale, lcm)
     curve2 = ServeCurve(inst, i, partition.s2, d_met[1], scale, lcm)
-    cap = inst.facilities[i - 1].capacity * curve1.unit
-    room = cap - min(cap, curve1.served(money1 * scale))
-    return (curve1.schedule(money1 * scale, cap),
-            curve2.schedule(money2 * scale, room))
+    t1 = curve1.served(money1 * scale)
+    room = inst.facilities[i - 1].capacity * curve1.unit - t1
+    return (curve1.schedule(t1),
+            curve2.schedule(min(room, curve2.served(money2 * scale))))
 
 
 @dataclass
@@ -191,7 +193,7 @@ def _weakly_below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _prune(b0: Sequence[int], b1: Sequence[int], b2: Sequence[int],
-           d1: Sequence[Amount], d2: Sequence[Amount]) -> List[int]:
+           d1: Sequence[int], d2: Sequence[int]) -> List[int]:
     """Indices of the non-dominated candidates, in frontier order.
 
     Frontier order is (budget sum, b0, b1, b2, -d1, -d2), ties in
@@ -199,11 +201,6 @@ def _prune(b0: Sequence[int], b1: Sequence[int], b2: Sequence[int],
     dominates it (budgets <= and demands >=): an earlier dominator is
     itself kept or dominated by an earlier kept one.
     """
-    scale = math.lcm(*{d.denominator for d in d1},
-                     *{d.denominator for d in d2})
-    if scale > 1:
-        d1 = [d.numerator * (scale // d.denominator) for d in d1]
-        d2 = [d.numerator * (scale // d.denominator) for d in d2]
     top = max(max(b0) + max(b1) + max(b2), max(d1), max(d2))
     dtype = np.int64 if top < 2**63 else object
     keys = np.array([b0, b1, b2, d1, d2], dtype=dtype)
@@ -294,7 +291,7 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
             spends2 = range(0, max2 + 1, K)
             served2 = [curve2.served(s2 * scale) for s2 in spends2]
             for s1 in range(0, max1 + 1, K):
-                t1 = min(cap, curve1.served(s1 * scale))
+                t1 = curve1.served(s1 * scale)
                 room = cap - t1
                 count = len(b2s)
                 for s2, f2 in zip(spends2, served2):
@@ -307,8 +304,6 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
                     if t2 == room:
                         break
                 runs.append((b0, e.b1 + s1, d1 + t1, e, i, len(b2s) - count))
-                if t1 == cap:
-                    break
         b0s, b1s, d1s, parents, opened = (
             list(chain.from_iterable(repeat(run[col], run[5]) for run in runs))
             for col in range(5))

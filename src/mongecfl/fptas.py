@@ -21,13 +21,14 @@ Table fill.  Row i at grid index s is the best, over carry-over
 offsets t <= s, of prev[t] (the demand facilities i+1..m meet within
 t*K) plus the demand facility i serves by spending q*K, q = s - t.  For
 fixed (i, t) that serve curve is piecewise linear in q, with one piece
-per client facility i reaches after prev[t] is taken from the right.
-Its breakpoints are computed with Python ints, and the curve splits
-into at most n+2 index ranges of q:
+per client facility i reaches after prev[t] is taken from the right,
+up to its capacity: a ``kernel.ServeCurve`` over all clients, whose
+breakpoints are Python ints.  The curve splits into at most n+2 index
+ranges of q:
 
 * pre-open, q*K < open_cost: nothing is served;
-* one linear segment [lo, hi) per client served at a positive rate r,
-  where the served demand, over unit, is A + extra(q) * L_i / r.
+* one linear segment [lo, hi) per breakpoint pair at a positive rate
+  r, where the served demand, over unit, is A + extra(q) * L_i / r.
   extra(q) is the money (over S) spent past the segment's breakpoint,
   so extra(q) = e0 + (q - lo)*K*S with e0 = extra(lo).  The segment is
   written as one strided slice (arange * step + const, with arange *
@@ -70,14 +71,11 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .exact import Solution
-from .kernel import Amount, cost_lcm, demand_met, serve_schedule
+from .kernel import (Amount, ServeCurve, cost_lcm, demand_met,
+                     serve_schedule)
 from .model import Infeasible, Instance, is_inf
 
 Rational = Union[int, float, str, Fraction]
-
-
-def _as_fraction(eps: Rational) -> Fraction:
-    return eps if isinstance(eps, Fraction) else Fraction(eps)
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ class BudgetGrid:
     def for_instance(cls, m: int, B: int, eps: Rational) -> "BudgetGrid":
         if B < 1 or m < 1:
             raise ValueError("B and m must be positive")
-        eps = _as_fraction(eps)
+        eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("epsilon must be positive")
         K = max(1, math.ceil(eps * B / (m * (m + 1))))
@@ -197,16 +195,6 @@ class ValueTable:
         return int(self.choices[i - 1][self.grid.index(b)]) * self.grid.K
 
 
-def _offer(row: np.ndarray, choice: np.ndarray, lo: int, hi: int,
-           cand, t: int) -> None:
-    """Write cand over row[lo:hi] where it is strictly larger, with
-    backpointer t; an equal value keeps its earlier, smaller t."""
-    seg = row[lo:hi]
-    better = np.greater(cand, seg)
-    np.copyto(seg, cand, where=better)
-    np.copyto(choice[lo:hi], t, where=better)
-
-
 def _merge(row: np.ndarray, choice: np.ndarray, values: np.ndarray,
            carries: np.ndarray) -> None:
     """Merge (values, carries) into (row, choice) under the lexicographic
@@ -244,7 +232,7 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     Ties in the maximization break toward the smallest carry-over
     budget b'.
 
-    Each (facility, carry-over budget) serve curve is evaluated one
+    Each (facility, carry-over budget) ``ServeCurve`` is evaluated one
     segment at a time: one strided slice per linear piece, and a
     saturated tail that is deferred to a per-row running max (see the
     module docstring).  The pre-open ranges of all carry-overs are one
@@ -268,7 +256,7 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     # the grid endpoint, so bound by whichever is larger
     money_max = max((size - 1) * K, contribution_search_limit(inst))
     headroom = money_max + inst.total_demand
-    demands = [inst.demand(j) for j in range(inst.n, 0, -1)]
+    clients = range(1, inst.n + 1)
     index = np.arange(size, dtype=np.int64)
     rows: List[np.ndarray] = [None] * (inst.m + 1)  # type: ignore[list-item]
     choices: List[np.ndarray] = [None] * inst.m  # type: ignore[list-item]
@@ -284,9 +272,6 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
         step_money = K * scale  # scaled money one grid step adds
         open_money = facility.open_cost * scale
         q_open = -(-facility.open_cost // K)  # first offset paying open_cost
-        # clients right to left: (scaled demand, cost from facility i)
-        links = list(zip([d * scale for d in demands],
-                         [inst.cost(i, j) for j in range(inst.n, 0, -1)]))
         prev = rows[i]
         ramp = np.arange(size, dtype=dtype)
         row = np.full(size, -1, dtype=dtype)
@@ -300,38 +285,34 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
         curves += len(starts)
         for t, met in zip(starts.tolist(), prev[starts].tolist()):
             width = size - t
-            # walk the clients right to left past the demand already
-            # met; each one facility i reaches adds a linear segment
-            lo, spent, served = q_open, 0, 0
-            left, cap = met, facility.capacity * scale
-            for demand, c in links:
+            curve = ServeCurve(inst, i, clients, met, scale, lcm)
+            base = met * lcm  # demand met below, over this level's unit
+            # each breakpoint pair at a positive rate is one linear
+            # segment; a zero-cost client has an empty index range
+            lo = q_open
+            for (_, c), spent, money, amount in zip(
+                    curve.clients, curve.money, curve.money[1:],
+                    curve.amount):
                 if lo >= width:
                     break
-                if left >= demand:
-                    left -= demand
-                    continue
-                residual, left = demand - left, 0
-                if cap <= 0 or is_inf(c):
-                    break
-                amt = min(residual, cap)
                 if c > 0:
-                    hi = -(-(open_money + spent + c * amt) // step_money)
-                    end = min(hi, width)
+                    hi = -(-(open_money + money) // step_money)
+                    end = hi if hi < width else width
                     if lo < end:
                         e0 = lo * step_money - open_money - spent
                         if c not in slopes:
                             slopes[c] = ramp * (step_money * lcm // c)
                         cand = slopes[c][:end - lo] + (
-                            (met + served) * lcm + e0 * lcm // c)
-                        _offer(row, choice, t + lo, t + end, cand, t)
+                            base + amount + e0 * lcm // c)
+                        # a strictly larger value wins: an equal one
+                        # keeps its earlier, smaller t
+                        seg = row[t + lo:t + end]
+                        better = cand > seg
+                        np.copyto(seg, cand, where=better)
+                        np.copyto(choice[t + lo:t + end], t, where=better)
                     lo = hi
-                    spent += c * amt
-                served += amt
-                cap -= amt
-                if amt < residual:
-                    break
             if lo < width:  # saturated from t + lo on: record the start
-                value = (met + served) * lcm
+                value = base + curve.amount[-1]
                 tail = tails[t + lo]
                 if tail is None or value > tail[0]:
                     tails[t + lo] = (value, t)

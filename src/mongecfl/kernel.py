@@ -7,9 +7,9 @@ serve walk, in integers scaled by a caller-given factor: an open
 facility serves the demand later facilities left, from the last client
 backward, until its money or its capacity runs out or it reaches an
 infinite cost.  Its callers are ``serve_schedule`` and ``demand_met``
-(the FPTAS bound search and extraction) and the two-class frontier and
-extraction in ``extensions``.  The FPTAS table fill walks the same
-curve in scaled integers, inline, as its hot loop.
+(the FPTAS bound search and extraction), the FPTAS table fill, which
+offers one grid slice per breakpoint pair, and the two-class frontier
+and extraction in ``extensions``.
 
 Everything here is a pure function over an immutable Instance.  Amounts
 are exact: scaled integers inside the walk, and ``Fraction`` at the
@@ -126,18 +126,21 @@ def cost_lcm(row: Tuple[Cost, ...]) -> int:
 
 
 class ServeCurve:
-    """Uncapped right-to-left serve of one client class by facility i.
+    """Right-to-left serve of one client class by facility i, up to its
+    capacity.
 
     Demand and money are integers scaled by ``scale``: ``d_met / scale``
     units of the class are already met right to left by later
     facilities.  Spending money x on the residual clients, from the
     right, serves f(x); ``money[k]`` (scaled by ``scale``) and
     ``amount[k]`` (scaled by ``unit = scale * lcm``) are the money and
-    amount once the first k of them are fully served.  ``lcm`` is a
-    multiple of every finite positive cost facility i may reach, so a
-    partial serve (x - money[k]) * lcm / c is a whole number of units.
-    The walk stops at the first infinite cost, and f is constant from
-    ``money[-1]`` (the saturation money) on.
+    amount once the first k of them are served.  ``lcm`` is a multiple
+    of every finite positive cost facility i may reach, so a partial
+    serve (x - money[k]) * lcm / c is a whole number of units.  The
+    walk stops at the first infinite cost or where facility i's
+    capacity binds: the last client served then gets only what the
+    capacity leaves, so ``amount[-1]`` never exceeds the capacity.  f
+    is constant from ``money[-1]`` (the saturation money) on.
     """
 
     __slots__ = ("clients", "money", "amount", "lcm", "unit")
@@ -146,33 +149,38 @@ class ServeCurve:
                  d_met: int, scale: int, lcm: int):
         self.lcm = lcm
         self.unit = scale * lcm
-        self.clients: List[Tuple[int, int]] = []  # (client, cost) in order
-        self.money: List[int] = [0]
-        self.amount: List[int] = [0]
+        # (client, cost) in serving order, and the breakpoints
+        self.clients = clients = []
+        self.money = moneys = [0]
+        self.amount = amounts = [0]
         row = inst.costs[i - 1]
-        clients = inst.clients
+        demands = inst.clients
+        room = inst.facilities[i - 1].capacity * scale
         left = d_met
         money = amount = 0
         for j in reversed(members):
-            r = clients[j - 1].demand * scale
-            if left > 0:
-                take = min(r, left)
-                r -= take
-                left -= take
-            if r == 0:
+            r = demands[j - 1].demand * scale - left
+            if r <= 0:  # met by later facilities
+                left = -r
                 continue
+            left = 0
             c = row[j - 1]
-            if is_inf(c):
+            if c == INF:
                 break
-            self.clients.append((j, c))
+            if r > room:
+                r = room
+            clients.append((j, c))
             money += c * r
             amount += r * lcm
-            self.money.append(money)
-            self.amount.append(amount)
+            moneys.append(money)
+            amounts.append(amount)
+            room -= r
+            if room == 0:
+                break
 
     def served(self, money: int) -> int:
-        """f(money), scaled by ``unit``: demand served before the
-        capacity binds, for ``money`` scaled by ``scale``."""
+        """f(money), scaled by ``unit``, for ``money`` scaled by
+        ``scale``."""
         k = bisect_right(self.money, money) - 1
         if k == len(self.clients):
             return self.amount[k]
@@ -180,17 +188,16 @@ class ServeCurve:
         return self.amount[k] + ((money - self.money[k]) * self.lcm
                                  // self.clients[k][1])
 
-    def schedule(self, money: int, cap: int) -> List[Tuple[int, Fraction]]:
-        """(client, amount) served with ``money`` (scaled by ``scale``)
-        and capacity ``cap`` (scaled by ``unit``); amounts are unscaled."""
-        left = min(cap, self.served(money))
+    def schedule(self, amount: int) -> List[Tuple[int, Fraction]]:
+        """(client, amount) in serving order that makes up ``amount``
+        (scaled by ``unit``, at most ``served`` of some money); amounts
+        are unscaled."""
         out: List[Tuple[int, Fraction]] = []
-        for k, (j, _) in enumerate(self.clients):
-            if left <= 0:
+        for (j, _), start, end in zip(self.clients, self.amount,
+                                      self.amount[1:]):
+            if amount <= start:
                 break
-            take = min(self.amount[k + 1] - self.amount[k], left)
-            out.append((j, Fraction(take, self.unit)))
-            left -= take
+            out.append((j, Fraction(min(end, amount) - start, self.unit)))
         return out
 
 
@@ -226,9 +233,8 @@ def serve_schedule(inst: Instance, i: int, d_met: Amount, budget: Amount,
     if walk is None:
         return Fraction(0), []
     curve, money = walk
-    cap = inst.facilities[i - 1].capacity * curve.unit
-    return (Fraction(min(cap, curve.served(money)), curve.unit),
-            curve.schedule(money, cap))
+    served = curve.served(money)
+    return Fraction(served, curve.unit), curve.schedule(served)
 
 
 def demand_met(inst: Instance, i: int, d_met: Amount, budget: Amount,
@@ -239,5 +245,4 @@ def demand_met(inst: Instance, i: int, d_met: Amount, budget: Amount,
     if walk is None:
         return Fraction(0)
     curve, money = walk
-    cap = inst.facilities[i - 1].capacity * curve.unit
-    return Fraction(min(cap, curve.served(money)), curve.unit)
+    return Fraction(curve.served(money), curve.unit)

@@ -152,6 +152,21 @@ def test_check_ragged_cost_rows(tmp_path, capsys):
         assert one_line_error(err) and "dimension mismatch" in err
 
 
+def test_convert_single_demand_ragged_cost_rows(tmp_path, capsys):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({
+        "facilities": [{"open_cost": 2, "capacity": 4},
+                       {"open_cost": 1, "capacity": 3}],
+        "clients": [{"demand": 3}],
+        "costs": [[1, 3], [1]]}))
+    out_path = tmp_path / "converted.json"
+    code, out, err = run(capsys, "convert", "--from", "single-demand",
+                         "--input", str(path), "--output", str(out_path))
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "dimension mismatch" in err
+    assert not out_path.exists()
+
+
 def test_string_open_cost(tmp_path, capsys):
     path = write_raw(tmp_path, [[1, 2], [1, 1]], open_cost="3")
     for argv in (["solve"], ["check"]):

@@ -213,5 +213,10 @@ def test_prune_matches_reference_order():
             entries = [ReferenceEntry(*v, None, k, None, None)
                        for k, v in enumerate(vectors)]
             want = [e.facility for e in reference_prune(entries)]
-            got = _prune(*(list(col) for col in zip(*vectors)))
+            b0, b1, b2, d1, d2 = (list(col) for col in zip(*vectors))
+            # _prune takes integer demands: one common scale keeps
+            # their order
+            scale = math.lcm(*(d.denominator for d in d1 + d2))
+            got = _prune(b0, b1, b2, [int(d * scale) for d in d1],
+                         [int(d * scale) for d in d2])
             assert got == want

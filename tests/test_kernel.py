@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (greedy_transport, recompute_flow_cost,
-                      reference_demand_met, reference_serve_schedule)
+from conftest import (ReferenceServeCurve, greedy_transport,
+                      recompute_flow_cost, reference_demand_met,
+                      reference_serve_schedule)
 from mongecfl.generate import monge_cost_matrix, random_monge_instance
-from mongecfl.kernel import Flow, demand_met, greedy_serve, serve_schedule
+from mongecfl.kernel import (Flow, ServeCurve, cost_lcm, demand_met,
+                             greedy_serve, serve_schedule)
 from mongecfl.model import INF, Client, Facility, Instance, is_inf
 
 
@@ -179,6 +181,33 @@ def test_demand_met_not_monotone_in_d_met():
     inst = Instance([Facility(0, 50)], [Client(10), Client(1)], [[1, 100]])
     assert demand_met(inst, 1, 0, 50) == Fraction(1, 2)
     assert demand_met(inst, 1, 1, 50) == 10
+
+
+@pytest.mark.parametrize("demands, row, cap, d_met, scale, clients, money", [
+    # met demand 2 leaves 4 of client 4; client 2 is cut to 1 unit
+    # (money 4 + 9 + 2), before the inf client 1
+    ((4, 5, 3, 6), (INF, 2, 3, 1), 8, 2, 1, [4, 3, 2], 15),
+    # the same over scale 2, with 3/2 units met: 9/2 + 3 + 1/2 units
+    # for money 2 * (9/2 + 9 + 1)
+    ((4, 5, 3, 6), (INF, 2, 3, 1), 8, Fraction(3, 2), 2, [4, 3, 2], 29),
+    # the capacity binds at the end of client 3; free client 2 gets
+    # nothing
+    ((2, 3, 4), (5, 0, 2), 4, 0, 1, [3], 8),
+])
+def test_serve_curve_stops_at_the_capacity(demands, row, cap, d_met, scale,
+                                           clients, money):
+    """The curve's last breakpoint is (money at the cut, capacity), and
+    f is the uncapped reference curve cut at the capacity."""
+    inst = Instance([Facility(0, cap)], [Client(d) for d in demands], [row])
+    curve = ServeCurve(inst, 1, range(1, inst.n + 1), int(d_met * scale),
+                       scale, cost_lcm(inst.costs[0]))
+    assert [j for j, _ in curve.clients] == clients
+    assert curve.amount[-1] == cap * curve.unit
+    assert curve.money[-1] == money
+    reference = ReferenceServeCurve(inst, 1, range(1, inst.n + 1), d_met)
+    for x in range(money + 3 * scale):
+        assert Fraction(curve.served(x), curve.unit) == min(
+            cap, reference.served(Fraction(x, scale))), x
 
 
 def test_serve_schedule_stops_at_infinite_cost():
