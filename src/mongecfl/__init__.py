@@ -16,8 +16,7 @@ from .model import (INF, Client, Facility, Infeasible, Instance, MongeWitness,
                     check_monge_adjacent, check_monge_full, is_inf,
                     validate_instance)
 from .oracle import OracleResult, brute_force_optimum, min_cost_assignment
-from .reductions import (LotSizingInstance, lot_sizing_to_cfl,
-                         multi_item_to_cfl, single_demand_to_cfl)
+from .reductions import LotSizingInstance, lot_sizing_to_cfl, multi_item_to_cfl
 
 __all__ = [
     "INF", "BudgetGrid", "Client", "ClientPartition", "DemandCapExceeded",
@@ -28,9 +27,8 @@ __all__ = [
     "check_windowed_monge", "demand_met", "find_budget_bound",
     "find_min_contribution", "is_inf", "lot_sizing_to_cfl",
     "max_contribution_feasible", "min_cost_assignment", "multi_item_to_cfl",
-    "run_fptas", "run_two_class_fptas", "serve_schedule",
-    "single_demand_to_cfl", "solve_exact", "solve_fptas",
-    "solve_two_class_fptas", "validate_instance",
+    "run_fptas", "run_two_class_fptas", "serve_schedule", "solve_exact",
+    "solve_fptas", "solve_two_class_fptas", "validate_instance",
 ]
 
 __version__ = "0.1.0"

@@ -61,7 +61,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -266,17 +265,12 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
         # no candidate above the best cover's budget sum can matter (and
         # no budget sum exceeds 3 * endpoint)
         limit = 3 * endpoint if best_cover is None else best_cover.budget_sum
-        # candidates in generation order: b2 and d2 per candidate, and
-        # (b0, b1, d1, parent, facility opened, count) per run of
-        # candidates that share them
-        b2s: List[int] = []
-        d2s: List[int] = []
-        runs: List[tuple] = []
+        # candidates (b0, b1, b2, d1, d2, parent, facility opened) in
+        # generation order
+        candidates: List[tuple] = []
         for e in frontier:
             d1, d2 = e.d1 * lcm, e.d2 * lcm
-            b2s.append(e.b2)
-            d2s.append(d2)
-            runs.append((e.b0, e.b1, d1, e, None, 1))  # i stays closed
+            candidates.append((e.b0, e.b1, e.b2, d1, d2, e, None))  # closed
             b0 = e.b0 + open_spend
             slack = limit - (b0 + e.b1 + e.b2)
             if b0 > endpoint or slack < 0:
@@ -293,21 +287,18 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
             for s1 in range(0, max1 + 1, K):
                 t1 = curve1.served(s1 * scale)
                 room = cap - t1
-                count = len(b2s)
                 for s2, f2 in zip(spends2, served2):
                     if s1 + s2 > slack:
                         break
                     t2 = min(room, f2)
                     if t1 + t2 != 0:
-                        b2s.append(e.b2 + s2)
-                        d2s.append(d2 + t2)
+                        candidates.append((b0, e.b1 + s1, e.b2 + s2, d1 + t1,
+                                           d2 + t2, e, i))
                     if t2 == room:
                         break
-                runs.append((b0, e.b1 + s1, d1 + t1, e, i, len(b2s) - count))
-        b0s, b1s, d1s, parents, opened = (
-            list(chain.from_iterable(repeat(run[col], run[5]) for run in runs))
-            for col in range(5))
-        del runs  # freed before the prune, the level's memory peak
+        # every entry adds its closed candidate, so the list is not empty
+        b0s, b1s, b2s, d1s, d2s, parents, opened = zip(*candidates)
+        del candidates  # freed before the prune, the level's memory peak
         # the smallest scale that keeps every demand whole: the lcm of
         # their denominators
         g = math.gcd(unit, *d1s, *d2s)

@@ -86,8 +86,6 @@ class BudgetGrid:
     """
 
     K: int
-    B: int
-    m: int
     size: int  # number of grid points, endpoint = (size-1)*K
 
     @classmethod
@@ -98,7 +96,7 @@ class BudgetGrid:
         if eps <= 0:
             raise ValueError("epsilon must be positive")
         K = max(1, math.ceil(eps * B / (m * (m + 1))))
-        return cls(K, B, m, math.ceil(B / K) + m + 1)
+        return cls(K, math.ceil(B / K) + m + 1)
 
     @property
     def points(self) -> List[int]:

@@ -3,17 +3,17 @@
 Lot-sizing orders become facilities and demand periods become clients,
 both in time order; the cost of covering a demand at time t' from an
 order at time t <= t' is the summed holding cost over [t, t'), and
-infinite for t > t'.  Single-demand instances embed as-is (one client
-makes the Monge condition vacuous).
+infinite for t > t'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Tuple
 
 from .kernel import shared
-from .model import INF, Client, Cost, Facility, Instance
+from .model import INF, Client, Facility, Instance
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,11 @@ class LotSizingInstance:
         return sorted({item for _, item, _ in self.demands})
 
 
-def _holding_cost(ls: LotSizingInstance, t: int, t_prime: int) -> Cost:
-    """Cost of covering a period-t' demand from a period-t order."""
-    if t > t_prime:
-        return INF
-    return sum(ls.holding[k - 1] for k in range(t, t_prime))
-
-
 def _build(ls: LotSizingInstance,
            client_periods: List[Tuple[int, int]]) -> Instance:
+    # prefix[t-1] = holding cost over [1, t); a period-p demand costs
+    # prefix[p-1] - prefix[t-1] from a period-t order, infinite if t > p
+    prefix = [0, *accumulate(ls.holding)]
     # A zero-capacity order keeps its facility slot (one per period) but
     # gets an all-INF cost row, which forbids any use while preserving
     # the Monge property (both sides of every quadruple go infinite).
@@ -83,8 +79,9 @@ def _build(ls: LotSizingInstance,
             costs.append(shared((INF,) * len(client_periods)))
         else:
             facilities.append(shared(Facility(c_open, u)))
-            costs.append(shared(tuple(_holding_cost(ls, t, period)
-                                      for period, _ in client_periods)))
+            costs.append(shared(tuple(
+                prefix[p - 1] - prefix[t - 1] if t <= p else INF
+                for p, _ in client_periods)))
     clients = [shared(Client(amount)) for _, amount in client_periods]
     return Instance(facilities, clients, costs)
 
@@ -96,13 +93,7 @@ def lot_sizing_to_cfl(ls: LotSizingInstance) -> Instance:
     """
     if len(ls.items) > 1:
         raise ValueError("single-item reduction requires a single item type")
-    by_period: dict = {}
-    for t, _, amount in ls.demands:
-        by_period[t] = by_period.get(t, 0) + amount
-    client_periods = [(t, a) for t, a in sorted(by_period.items()) if a > 0]
-    if not client_periods:
-        raise ValueError("at least one positive demand required")
-    return _build(ls, client_periods)
+    return multi_item_to_cfl(ls)
 
 
 def multi_item_to_cfl(ls: LotSizingInstance) -> Instance:
@@ -119,11 +110,3 @@ def multi_item_to_cfl(ls: LotSizingInstance) -> Instance:
     if not client_periods:
         raise ValueError("at least one positive demand required")
     return _build(ls, client_periods)
-
-
-def single_demand_to_cfl(facilities: List[Facility], client: Client,
-                         costs: List[Cost]) -> Instance:
-    """One-client facility location; Monge holds vacuously."""
-    if len(costs) != len(facilities):
-        raise ValueError("one cost per facility required")
-    return Instance(facilities, [client], [[c] for c in costs])

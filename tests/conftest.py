@@ -23,11 +23,14 @@ from mongecfl.model import (INF, Client, Cost, Facility, Infeasible,
                             Instance, MongeWitness, is_inf)
 from mongecfl.reductions import LotSizingInstance
 
-# The benchmark's O(mn) solution certificate, which imports nothing from
-# the library; run from its file (compiled, nothing written), so tier-1
-# and the benchmark check solver outputs with the same code.
+# The benchmark's O(mn) solution certificate and lot-sizing reduction
+# check, which import nothing from the library; run from their file
+# (compiled, nothing written), so tier-1 and the benchmark check solver
+# and reduction outputs with the same code.
 CERTIFY_PY = Path(__file__).resolve().parents[1] / "perfbench" / "certify.py"
-certify_solution = runpy.run_path(str(CERTIFY_PY))["certify_solution"]
+_CERTIFY = runpy.run_path(str(CERTIFY_PY))
+certify_solution = _CERTIFY["certify_solution"]
+reduction_problems = _CERTIFY["reduction_problems"]
 
 
 @pytest.fixture

@@ -11,8 +11,8 @@ PUBLIC = [
     "demand_met", "find_budget_bound", "find_min_contribution", "is_inf",
     "lot_sizing_to_cfl", "max_contribution_feasible", "min_cost_assignment",
     "multi_item_to_cfl", "run_fptas", "run_two_class_fptas",
-    "serve_schedule", "single_demand_to_cfl", "solve_exact", "solve_fptas",
-    "solve_two_class_fptas", "validate_instance",
+    "serve_schedule", "solve_exact", "solve_fptas", "solve_two_class_fptas",
+    "validate_instance",
 ]
 
 

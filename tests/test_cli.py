@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mongecfl import cli
 from mongecfl import io as mio
 from mongecfl.cli import _ratio, main
-from mongecfl.model import Client, Facility, Instance
+from mongecfl.model import INF, Client, Facility, Instance
 
 
 def run(capsys, *argv):
@@ -165,6 +165,18 @@ def test_convert_single_demand_ragged_cost_rows(tmp_path, capsys):
     assert code == 1 and out == ""
     assert one_line_error(err) and "dimension mismatch" in err
     assert not out_path.exists()
+
+
+def test_convert_single_demand(tmp_path, capsys):
+    inst = Instance([Facility(2, 4), Facility(1, 3), Facility(5, 9)],
+                    [Client(3)], [[4], [INF], [0]])
+    path = tmp_path / "single.json"
+    mio.save_instance(inst, path)
+    out_path = tmp_path / "converted.json"
+    code, _, err = run(capsys, "convert", "--from", "single-demand",
+                       "--input", str(path), "--output", str(out_path))
+    assert code == 0 and err == ""
+    assert mio.load_instance(out_path) == inst
 
 
 def test_string_open_cost(tmp_path, capsys):

@@ -147,7 +147,7 @@ def test_half_unit_partial_serve_at_unit_grid_step():
     the fill keeps the level over scale 2.  A one-point segment of that
     kind stays whole at scale 1."""
     inst = Instance([Facility(0, 10)], [Client(4)], [[2]])
-    grid = BudgetGrid(K=1, B=8, m=1, size=10)
+    grid = BudgetGrid(K=1, size=10)
     with pytest.raises(_ScaleError):
         reference_fill_table(inst, grid, 1)
     assert_same_table(inst, grid)
@@ -156,7 +156,7 @@ def test_half_unit_partial_serve_at_unit_grid_step():
     assert table.scales == [2, 1]
     # demand 1 at rate 2 costs 2 < K = 3, so the segment is one point
     inst = Instance([Facility(0, 10)], [Client(1)], [[2]])
-    grid = BudgetGrid(K=3, B=3, m=1, size=4)
+    grid = BudgetGrid(K=3, size=4)
     table = build_value_table(inst, grid)
     assert_same_fill(table, reference_fill_table(inst, grid, 1))
     assert table.scales == [1, 1]
@@ -171,7 +171,7 @@ def test_fill_on_long_runs_of_equal_met_values():
     K)."""
     clients = [Client(d) for d in (7, 5, 9, 4)]
     costs = [[3, 2, 2, 4], [4, 2, 1, 2], [6, 3, 1, 1], [9, 5, 2, 1]]
-    grid = BudgetGrid(K=2, B=60, m=4, size=61)
+    grid = BudgetGrid(K=2, size=61)
     for open_cost in (0, 6, 7):
         plateau = Instance(
             [Facility(open_cost, 30), Facility(open_cost, 12),
@@ -205,7 +205,7 @@ def test_partial_serve_from_the_first_offset_of_a_run():
     level over scale 2 and the one below over scale 1."""
     inst = Instance([Facility(0, 1), Facility(0, 1)],
                     [Client(3), Client(1)], [[2, 1], [5, 1]])
-    grid = BudgetGrid(K=1, B=6, m=2, size=8)
+    grid = BudgetGrid(K=1, size=8)
     with pytest.raises(_ScaleError):
         reference_fill_table(inst, grid, 1)
     assert_same_table(inst, grid)
@@ -221,7 +221,7 @@ def test_curves_count_runs_of_the_met_row():
     t = 1."""
     inst = Instance([Facility(0, 1), Facility(0, 1)],
                     [Client(3), Client(1)], [[1, 1], [5, 1]])
-    grid = BudgetGrid(K=1, B=6, m=2, size=8)
+    grid = BudgetGrid(K=1, size=8)
     table = build_value_table(inst, grid)
     assert table.rows[1].tolist() == [0] + [1] * 7
     assert table.scales == [1, 1, 1]

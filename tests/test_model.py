@@ -67,6 +67,8 @@ def test_monge_full_violation():
 def test_monge_full_with_inf_passes():
     # 0+0 <= 2+INF under extended arithmetic
     assert check_monge_full([[0, 2], [INF, 0]]) is None
+    # one column: no quadruple, so Monge holds vacuously
+    assert check_monge_full([[4], [INF], [0]]) is None
 
 
 def test_monge_full_with_inf_violation():

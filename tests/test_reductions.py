@@ -1,18 +1,19 @@
-"""Lot-sizing and single-demand reductions."""
+"""Lot-sizing reductions."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import lot_sizing_brute
+from conftest import lot_sizing_brute, reduction_problems
+from mongecfl import io as mio
 from mongecfl.exact import solve_exact
 from mongecfl.fptas import solve_fptas
 from mongecfl.generate import random_lot_sizing
-from mongecfl.model import INF, Client, Facility, check_monge_full, is_inf
+from mongecfl.model import INF, check_monge_full, is_inf
 from mongecfl.oracle import brute_force_optimum
 from mongecfl.reductions import (LotSizingInstance, lot_sizing_to_cfl,
-                                 multi_item_to_cfl, single_demand_to_cfl)
+                                 multi_item_to_cfl)
 
 
 def test_lot_sizing_validation():
@@ -98,20 +99,31 @@ def test_multi_item_single_item_agrees():
     assert multi_item_to_cfl(ls).costs == lot_sizing_to_cfl(ls).costs
 
 
-def test_single_demand():
-    inst = single_demand_to_cfl([Facility(1, 9), Facility(2, 9), Facility(3, 9)],
-                                Client(7), [4, INF, 0])
-    assert inst.m == 3 and inst.n == 1
-    assert check_monge_full(inst.costs) is None
-    with pytest.raises(ValueError, match="one cost per facility"):
-        single_demand_to_cfl([Facility(1, 9)], Client(7), [1, 2])
-
-
 def test_random_reductions_are_monge():
     rng = random.Random(1234)
     for _ in range(40):
         ls = random_lot_sizing(rng, rng.randint(1, 8))
         assert check_monge_full(lot_sizing_to_cfl(ls).costs) is None
+
+
+def test_reduction_matches_the_certificate():
+    """Long horizons, zero-capacity orders, zero-demand periods and a
+    period's demand split over several entries, against the benchmark
+    certificate's independent reduction."""
+    rng = random.Random(2718)
+    zero_capacity = zero_demand = 0
+    for _ in range(120):
+        ls = random_lot_sizing(rng, rng.randint(1, 80),
+                               max_capacity=rng.choice([0, 3, 15]))
+        zero_capacity += any(u == 0 for _, u in ls.orders)
+        zero_demand += any(a == 0 for _, _, a in ls.demands)
+        if rng.random() < 0.5:
+            split = [(t, 0, part) for t, _, a in ls.demands
+                     for part in (a // 2, a - a // 2)]
+            ls = LotSizingInstance(ls.horizon, ls.orders, split, ls.holding)
+        inst = lot_sizing_to_cfl(ls)
+        assert reduction_problems(mio.lot_sizing_to_dict(ls), inst) == []
+    assert zero_capacity and zero_demand
 
 
 def test_reduction_value_matches_direct_brute_force():
