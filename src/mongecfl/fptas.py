@@ -28,32 +28,35 @@ ranges of q:
 
 * pre-open, q*K < open_cost: nothing is served;
 * one linear segment [lo, hi) per breakpoint pair at a positive rate
-  r, where the served demand, over unit, is A + extra(q) * L_i / r.
+  c, where the served demand, over unit, is A + extra(q) * L_i / c.
   extra(q) is the money (over S) spent past the segment's breakpoint,
-  so extra(q) = e0 + (q - lo)*K*S with e0 = extra(lo).  The segment is
-  written as one strided slice (arange * step + const, with arange *
-  step built once per rate and level) and merged into the row where it
-  is larger;
+  so extra(q) = q*K*S - open_cost*S - money_k.  At grid index s = t + q
+  the offer is the line intercept + s * slope_c, with slope_c =
+  K*S*(L_i / c) shared by every segment of rate c in the level;
 * the saturated tail past the last breakpoint, where served demand is
-  a constant A_L.  Free (zero-cost) clients have empty index ranges and
-  only add to the next segment's A.
+  a constant A_L: a line of slope 0.  Free (zero-cost) clients have
+  empty index ranges and only add to the next segment's A.
 
 Row i is the lexicographic max over (value, -t) of all these offers: a
 larger value wins, and equal values keep the smallest carry-over t.
-Segments are offered in increasing t and replace only a strictly
-larger value, which builds that max over the segments; as the max does
-not depend on the order of the offers, the other two kinds are merged
-once per row, after all t:
+Each offer is packed into one integer, value * W + (W - 1 - t) with W a
+power of two above every t, so that max is a plain integer max, and the
+order of the offers does not matter:
 
-* saturated tails.  The tail of (i, t) is the constant prev[t] + A_L at
-  every index from t + lo_L on, so it is recorded at that start index
-  only; one sweep takes the running lexicographic max and merges it in.
+* lines.  Segments of one slope are parallel, so at each index the
+  best of them is the one with the largest packed intercept; the tag
+  in the low bits carries the tie-break.  The walk over the curves'
+  breakpoints only records (index range, packed intercept) per slope.
+  Each slope then takes one offline range max over its ranges (a
+  sparse table of power-of-two blocks) and adds s * slope_c * W.
 * pre-open ranges.  At index s the pre-open offers come from the t in
   (s - q_open, s] with value prev[t].  prev is nondecreasing in t
   (more budget never meets less demand), so their max is prev[s] from
   the smallest such t with prev[t] = prev[s]: max(run_start(s),
   s - q_open + 1), run_start(s) the first index of the run of equal
-  values that holds s.  One vectorised merge per row.
+  values that holds s.  One vectorised max per row.
+
+The row and its backpointers are unpacked once per level.
 
 Only the first t of each run of equal values in prev is walked.  If
 prev[t] = prev[t - 1], both offsets walk the same serve curve f, so the
@@ -64,9 +67,10 @@ prev[t] + f(s - t + 1) (f is nondecreasing), and t - 1 wins ties.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -97,10 +101,6 @@ class BudgetGrid:
             raise ValueError("epsilon must be positive")
         K = max(1, math.ceil(eps * B / (m * (m + 1))))
         return cls(K, math.ceil(B / K) + m + 1)
-
-    @property
-    def points(self) -> List[int]:
-        return [t * self.K for t in range(self.size)]
 
     def round_up(self, x) -> int:
         """x rounded up to the nearest multiple of K."""
@@ -193,35 +193,27 @@ class ValueTable:
         return int(self.choices[i - 1][self.grid.index(b)]) * self.grid.K
 
 
-def _merge(row: np.ndarray, choice: np.ndarray, values: np.ndarray,
-           carries: np.ndarray) -> None:
-    """Merge (values, carries) into (row, choice) under the lexicographic
-    max over (value, -t): a larger value wins, an equal value keeps the
-    smaller carry-over."""
-    better = (values > row) | ((values == row) & (carries < choice))
-    np.copyto(row, values, where=better)
-    np.copyto(choice, carries, where=better)
+def _range_max(size: int, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray,
+               floor: int, dtype: object) -> np.ndarray:
+    """Per index s < size, the largest keys[k] over the intervals
+    [lo[k], hi[k]) that hold s, and ``floor`` where none does.
 
-
-def _merge_tails(row: np.ndarray, choice: np.ndarray,
-                 tails: List[Optional[Tuple[int, int]]]) -> None:
-    """Fold saturated tails into a filled row.
-
-    tails[s] is the best (value, t) among tails starting at index s; a
-    tail holds its value at every index from its start on.  One sweep
-    takes the running lexicographic max over (value, -t), which is then
-    merged into the row under the same rule.
+    Offline over a sparse table: an interval of length L, 2**k <= L <
+    2**(k+1), is the union of the two blocks of length 2**k that start
+    at lo and at hi - 2**k.  Level k of the table holds the largest key
+    of the blocks of length 2**k at each start; each level is then
+    pushed down into the two halves of its blocks.
     """
-    best_value, best_t = -1, 0
-    values, carries = [], []
-    for tail in tails:
-        if tail is not None and (tail[0] > best_value or (
-                tail[0] == best_value and tail[1] < best_t)):
-            best_value, best_t = tail
-        values.append(best_value)
-        carries.append(best_t)
-    _merge(row, choice, np.array(values, dtype=row.dtype),
-           np.array(carries, dtype=np.int64))
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exact
+    table = np.full((int(level.max()) + 1, size), floor, dtype=dtype)
+    np.maximum.at(table, (level, lo), keys)
+    np.maximum.at(table, (level, hi - (1 << level)), keys)
+    for k in range(len(table) - 1, 0, -1):
+        half = 1 << (k - 1)
+        np.maximum(table[k - 1], table[k], out=table[k - 1])
+        np.maximum(table[k - 1, half:], table[k, :-half],
+                   out=table[k - 1, half:])
+    return table[0]
 
 
 def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
@@ -230,13 +222,16 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     Ties in the maximization break toward the smallest carry-over
     budget b'.
 
-    Each (facility, carry-over budget) ``ServeCurve`` is evaluated one
-    segment at a time: one strided slice per linear piece, and a
-    saturated tail that is deferred to a per-row running max (see the
-    module docstring).  The pre-open ranges of all carry-overs are one
-    vectorised offer per row.  Deferred tails and pre-open ranges merge
-    under the lexicographic max over (value, -t), which keeps the
-    tie-break toward the smallest carry-over budget.
+    Every offer at grid index s is one packed key,
+    value * W + (W - 1 - t), with W = 2**bits the smallest power of two
+    above the largest carry-over index size - 1, so an integer max is
+    the lexicographic max over (value, -t).  The walk over each
+    ``ServeCurve``'s breakpoints records (index range, packed
+    intercept) per slope and makes no numpy call; each slope then takes
+    one ``_range_max`` over its ranges and adds s * slope * W (the
+    saturated tails are the slope-0 lines), and the pre-open ranges are
+    one more max (see the module docstring).  The row and the
+    backpointers are unpacked once per level.
 
     Only the first carry-over of each run of equal values in the row
     below builds a serve curve: a later one of the same run walks the
@@ -246,16 +241,31 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     Level i reads the row below over its scale S and writes over
     unit = S * cost_lcm(row i): met demand and money stay over S, and a
     partial serve e0 * lcm // c is exact.  The row and its scale are
-    then reduced by their gcd.  A level is int64 when its largest scaled
-    magnitude, (money_max + total demand) * unit, fits.
+    then reduced by their gcd.
+
+    dtype.  Let D = total_demand * unit and P = money_max * unit, with
+    money_max at least the grid endpoint (size - 1) * K and every
+    facility's opening plus serve-everything cost, so D + P = headroom * unit.  A
+    segment of rate c has intercept base + amount - (open_money +
+    spent) * lcm / c - t * slope, where base + amount <= D, the money
+    term is at most P and t * slope <= (size - 1) * K * unit <= P: packed
+    intercepts lie in [-2PW, DW + W).  Tails and pre-open keys lie in
+    [0, DW + W).  The floor -(slope * (size - 1) * W + W) and each
+    s * slope * W are at most PW + W in magnitude, and best + s * slope
+    * W is an offer's key (in [0, DW + W)) or at most the floor plus
+    (size - 1) * slope * W (in [floor, -W]).  So every value the fill
+    forms has magnitude at most (2 * headroom * unit + 1) * W, and a
+    level is int64 when that is below 2**63, object arrays of Python
+    ints otherwise.  Both dtypes run the same code.
     """
     size, K = grid.size, grid.K
     # headroom for scaled money values: serve-everything cost can exceed
     # the grid endpoint, so bound by whichever is larger
     money_max = max((size - 1) * K, contribution_search_limit(inst))
     headroom = money_max + inst.total_demand
+    bits = (size - 1).bit_length()
+    W = 1 << bits  # carry-over tags W - 1 - t lie in [0, W)
     clients = range(1, inst.n + 1)
-    index = np.arange(size, dtype=np.int64)
     rows: List[np.ndarray] = [None] * (inst.m + 1)  # type: ignore[list-item]
     choices: List[np.ndarray] = [None] * inst.m  # type: ignore[list-item]
     scales = [1] * (inst.m + 1)
@@ -266,16 +276,19 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
         scale = scales[i]  # of the row below, and of met demand and money
         lcm = cost_lcm(inst.costs[i - 1])
         unit = scale * lcm  # of this level's values
-        dtype: object = np.int64 if headroom * unit < 2**62 else object
+        dtype: object = (np.int64 if (2 * headroom * unit + 1) * W < 2**63
+                         else object)
         step_money = K * scale  # scaled money one grid step adds
         open_money = facility.open_cost * scale
         q_open = -(-facility.open_cost // K)  # first offset paying open_cost
         prev = rows[i]
-        ramp = np.arange(size, dtype=dtype)
-        row = np.full(size, -1, dtype=dtype)
-        choice = np.zeros(size, dtype=np.int64)
-        tails: List[Optional[Tuple[int, int]]] = [None] * size
-        slopes: Dict[int, np.ndarray] = {}  # rate c -> ramp * (K*unit // c)
+        # rate c -> (lcm // c, slope_c); the slope-0 lines are the tails
+        rates = {c: (lcm // c, step_money * (lcm // c))
+                 for c in set(inst.costs[i - 1]) if not is_inf(c) and c > 0}
+        # slope -> first indices, end indices and packed intercepts of
+        # its lines
+        lines: Dict[int, Tuple[List[int], List[int], List[int]]] = (
+            defaultdict(lambda: ([], [], [])))
         # prev is nondecreasing; only the first offset of each run of
         # equal values can win (see the module docstring)
         starts = np.concatenate(([0], np.flatnonzero(prev[1:] != prev[:-1])
@@ -285,6 +298,7 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
             width = size - t
             curve = ServeCurve(inst, i, clients, met, scale, lcm)
             base = met * lcm  # demand met below, over this level's unit
+            tag = W - 1 - t
             # each breakpoint pair at a positive rate is one linear
             # segment; a zero-cost client has an empty index range
             lo = q_open
@@ -295,34 +309,38 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
                     break
                 if c > 0:
                     hi = -(-(open_money + money) // step_money)
-                    end = hi if hi < width else width
-                    if lo < end:
-                        e0 = lo * step_money - open_money - spent
-                        if c not in slopes:
-                            slopes[c] = ramp * (step_money * lcm // c)
-                        cand = slopes[c][:end - lo] + (
-                            base + amount + e0 * lcm // c)
-                        # a strictly larger value wins: an equal one
-                        # keeps its earlier, smaller t
-                        seg = row[t + lo:t + end]
-                        better = cand > seg
-                        np.copyto(seg, cand, where=better)
-                        np.copyto(choice[t + lo:t + end], t, where=better)
+                    if lo < hi:
+                        ratio, slope = rates[c]
+                        firsts, ends, keys = lines[slope]
+                        firsts.append(t + lo)
+                        ends.append(t + hi if hi < width else size)
+                        keys.append((base + amount - t * slope
+                                     - (open_money + spent) * ratio) * W
+                                    + tag)
                     lo = hi
-            if lo < width:  # saturated from t + lo on: record the start
-                value = base + curve.amount[-1]
-                tail = tails[t + lo]
-                if tail is None or value > tail[0]:
-                    tails[t + lo] = (value, t)
+            if lo < width:  # saturated from t + lo on
+                firsts, ends, keys = lines[0]
+                firsts.append(t + lo)
+                ends.append(size)
+                keys.append((base + curve.amount[-1]) * W + tag)
+        key = np.full(size, -1, dtype=dtype)
+        ramp = np.arange(size, dtype=dtype)
         if q_open > 0:
             # pre-open: prev[s] from the smallest offset t in
             # (s - q_open, s] with prev[t] = prev[s]
             run_start = np.zeros(size, dtype=np.int64)
             run_start[starts] = starts
             np.maximum.accumulate(run_start, out=run_start)
-            _merge(row, choice, prev.astype(dtype) * lcm,
-                   np.maximum(run_start, index - (q_open - 1)))
-        _merge_tails(row, choice, tails)
+            first = np.maximum(run_start, ramp - (q_open - 1))
+            np.maximum(key, prev.astype(dtype) * (lcm * W) + (W - 1 - first),
+                       out=key)
+        for slope, (firsts, ends, keys) in lines.items():
+            best = _range_max(size, np.array(firsts), np.array(ends),
+                              np.array(keys, dtype=dtype),
+                              -(slope * (size - 1) * W + W), dtype)
+            np.maximum(key, best + ramp * (slope * W), out=key)
+        row = key >> bits
+        choice = ((W - 1) - (key & (W - 1))).astype(np.int64)
         g = math.gcd(unit, int(np.gcd.reduce(row)))
         row //= g
         rows[i - 1], choices[i - 1], scales[i - 1] = row, choice, unit // g

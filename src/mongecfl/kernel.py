@@ -8,7 +8,7 @@ facility serves the demand later facilities left, from the last client
 backward, until its money or its capacity runs out or it reaches an
 infinite cost.  Its callers are ``serve_schedule`` and ``demand_met``
 (the FPTAS bound search and extraction), the FPTAS table fill, which
-offers one grid slice per breakpoint pair, and the two-class frontier
+records one line per breakpoint pair, and the two-class frontier
 and extraction in ``extensions``.
 
 Everything here is a pure function over an immutable Instance.  Amounts

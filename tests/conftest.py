@@ -363,6 +363,11 @@ class _ServeCurve:
         return served
 
 
+def grid_points(grid: BudgetGrid) -> List[int]:
+    """The budgets of ``grid``: 0, K, ..., (size - 1) * K."""
+    return [t * grid.K for t in range(grid.size)]
+
+
 def reference_fill_table(inst: Instance, grid: BudgetGrid,
                          scale: int) -> ValueTable:
     """Point-by-point table fill (reference for ``build_value_table``).
@@ -377,7 +382,7 @@ def reference_fill_table(inst: Instance, grid: BudgetGrid,
     max_scaled = (money_max + inst.total_demand) * scale
     dtype: object = np.int64 if max_scaled < 2**62 else object
     size = grid.size
-    points = np.array(grid.points, dtype=dtype)
+    points = np.array(grid_points(grid), dtype=dtype)
     rows: List[np.ndarray] = [None] * (inst.m + 1)  # type: ignore[list-item]
     choices: List[np.ndarray] = [None] * inst.m  # type: ignore[list-item]
     rows[inst.m] = np.zeros(size, dtype=dtype)

@@ -638,7 +638,7 @@ def _malformed(draw, kind):
     return doc
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_malformed_json_never_tracebacks(tmp_path, capsys, data):

@@ -18,7 +18,8 @@ import pytest
 
 from conftest import (_cost_scale_base, _ScaleError, extended_grid,
                       reference_fill_table, reference_value_table)
-from mongecfl.fptas import BudgetGrid, build_value_table, find_budget_bound
+from mongecfl.fptas import (BudgetGrid, _range_max, build_value_table,
+                            find_budget_bound)
 from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
                                random_monge_instance)
 from mongecfl.model import INF, Client, Facility, Instance, is_inf
@@ -104,19 +105,25 @@ def test_staircase_fills_match_reference():
 
 
 def test_each_level_picks_its_own_dtype():
-    """Facility 2's cost 2**40 + 1 puts its level's unit, and so its
-    scaled values, past 2**62: object dtype.  It only serves client 2
-    for free, so its row reduces to scale 1, and the level above, whose
-    costs are 1, is int64 again."""
-    inst = Instance([Facility(0, 5), Facility(0, 2)], [Client(3), Client(2)],
-                    [[1, 1], [2**40 + 1, 0]])
-    grid = BudgetGrid.for_instance(2, find_budget_bound(inst),
-                                   Fraction(1, 2))
-    assert assert_same_table(inst, grid) == (False, False)
-    table = build_value_table(inst, grid)
-    assert [row.dtype for row in table.rows] == [
-        np.dtype(np.int64), np.dtype(object), np.dtype(np.int64)]
-    assert table.scales == [1, 1, 1]
+    """A level is object dtype when its packed keys, about
+    2 * headroom * unit * W, can pass 2**63.  Facility 2's cost
+    2**40 + 1 puts its level's unit past that on its own.  Cost
+    2**28 + 1 keeps headroom * unit below 2**62, but the packed keys
+    of its 15-point grid (W = 16) still pass 2**63, so that level is
+    object dtype as well.  Both rows of facility 2 reduce to scale 1,
+    and the level above, whose costs are 1, is int64 again."""
+    for inst in (
+            Instance([Facility(0, 5), Facility(0, 2)],
+                     [Client(3), Client(2)], [[1, 1], [2**40 + 1, 0]]),
+            Instance([Facility(0, 5), Facility(0, 20)],
+                     [Client(2), Client(9)], [[1, 1], [1, 2**28 + 1]])):
+        grid = BudgetGrid.for_instance(2, find_budget_bound(inst),
+                                       Fraction(1, 2))
+        assert assert_same_table(inst, grid) == (False, False)
+        table = build_value_table(inst, grid)
+        assert [row.dtype for row in table.rows] == [
+            np.dtype(np.int64), np.dtype(object), np.dtype(np.int64)]
+        assert table.scales == [1, 1, 1]
 
 
 def dense_instance(seed):
@@ -160,6 +167,17 @@ def test_half_unit_partial_serve_at_unit_grid_step():
     table = build_value_table(inst, grid)
     assert_same_fill(table, reference_fill_table(inst, grid, 1))
     assert table.scales == [1, 1]
+    # below a facility that serves nothing and opens at one grid step,
+    # the half-unit row rises at every index, so each index s carries
+    # over t = s; on 16 points the last one is t = 15 = W - 1, whose
+    # packed key has tag 0
+    inst = Instance([Facility(1, 10), Facility(0, 10)], [Client(8)],
+                    [[INF], [2]])
+    for size in (15, 16):
+        grid = BudgetGrid(K=1, size=size)
+        assert_same_table(inst, grid)
+        table = build_value_table(inst, grid)
+        assert table.choices[0].tolist() == list(range(size))
 
 
 def test_fill_on_long_runs_of_equal_met_values():
@@ -226,3 +244,39 @@ def test_curves_count_runs_of_the_met_row():
     assert table.rows[1].tolist() == [0] + [1] * 7
     assert table.scales == [1, 1, 1]
     assert table.curves == 1 + 2 == distinct_met_values(table)
+
+
+def brute_range_max(size, lo, hi, keys, floor):
+    out = [floor] * size
+    for a, b, key in zip(lo, hi, keys):
+        for s in range(a, b):
+            out[s] = max(out[s], key)
+    return out
+
+
+def test_range_max_matches_brute_force():
+    """``_range_max`` against a per-cell max over seeded random
+    intervals, in int64 and object dtype: length-1 and power-of-two
+    lengths, intervals that touch index 0 or size - 1, keys drawn from
+    a small pool so that they repeat, and sizes around powers of two."""
+    rng = random.Random(13)
+    for size in (1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65):
+        for dtype, span in ((np.int64, 2**60), (object, 2**100)):
+            for _ in range(15):
+                pool = [rng.randint(-span, span) for _ in range(3)]
+                lo, hi, keys = [], [], []
+                for _ in range(rng.randint(1, 2 * size)):
+                    length = rng.choice((
+                        1, 1 << rng.randrange(size.bit_length()),
+                        rng.randint(1, size)))
+                    start = rng.choice((0, size - length,
+                                        rng.randint(0, size - length)))
+                    lo.append(start)
+                    hi.append(start + length)
+                    keys.append(rng.choice(pool))
+                floor = -span - 1
+                got = _range_max(size, np.array(lo), np.array(hi),
+                                 np.array(keys, dtype=dtype), floor, dtype)
+                assert got.dtype == np.dtype(dtype)
+                assert got.tolist() == brute_range_max(size, lo, hi, keys,
+                                                       floor)

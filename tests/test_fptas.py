@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import certify_solution, exact_value_function
+from conftest import certify_solution, exact_value_function, grid_points
 from mongecfl.fptas import (BudgetGrid, build_value_table,
                             contribution_search_limit, find_budget_bound,
                             find_min_contribution, max_contribution_feasible,
@@ -19,9 +19,9 @@ from mongecfl.oracle import brute_force_optimum
 def test_grid_construction():
     grid = BudgetGrid.for_instance(2, 22, 1)
     assert grid.K == math.ceil(Fraction(22, 6)) == 4
-    assert grid.points[-1] == (math.ceil(22 / 4) + 2) * 4 == 32
-    assert grid.points[0] == 0
-    assert all(b % grid.K == 0 for b in grid.points)
+    assert grid_points(grid)[-1] == (math.ceil(22 / 4) + 2) * 4 == 32
+    assert grid_points(grid)[0] == 0
+    assert all(b % grid.K == 0 for b in grid_points(grid))
 
 
 def test_grid_k_floors_at_one():
@@ -87,7 +87,7 @@ def test_value_table_ref1_coarse(ref1):
     assert grid.K == 4
     assert table.value(1, 12) == 5
     assert table.choice(1, 12) == 0
-    for b in grid.points:
+    for b in grid_points(grid):
         assert table.value(3, b) == 0
 
 
@@ -96,7 +96,7 @@ def test_value_table_monotone_and_bounded(ref1):
     table = build_value_table(ref1, grid)
     for i in range(1, ref1.m + 2):
         prev = None
-        for b in grid.points:
+        for b in grid_points(grid):
             v = table.value(i, b)
             assert 0 <= v <= ref1.total_demand
             if prev is not None:
