@@ -24,14 +24,15 @@ fixed (i, t) that serve curve is piecewise linear in q, with one piece
 per client facility i reaches after prev[t] is taken from the right,
 up to its capacity: a ``kernel.ServeCurve`` over all clients, whose
 breakpoints are Python ints.  The curve splits into at most n+2 index
-ranges of q:
+ranges of q, each one line over the grid index s = t + q:
 
-* pre-open, q*K < open_cost: nothing is served;
+* pre-open, q*K < open_cost: nothing is served, a line of slope 0 at
+  prev[t];
 * one linear segment [lo, hi) per breakpoint pair at a positive rate
   c, where the served demand, over unit, is A + extra(q) * L_i / c.
   extra(q) is the money (over S) spent past the segment's breakpoint,
-  so extra(q) = q*K*S - open_cost*S - money_k.  At grid index s = t + q
-  the offer is the line intercept + s * slope_c, with slope_c =
+  so extra(q) = q*K*S - open_cost*S - money_k.  At grid index s the
+  offer is the line intercept + s * slope_c, with slope_c =
   K*S*(L_i / c) shared by every segment of rate c in the level;
 * the saturated tail past the last breakpoint, where served demand is
   a constant A_L: a line of slope 0.  Free (zero-cost) clients have
@@ -41,27 +42,21 @@ Row i is the lexicographic max over (value, -t) of all these offers: a
 larger value wins, and equal values keep the smallest carry-over t.
 Each offer is packed into one integer, value * W + (W - 1 - t) with W a
 power of two above every t, so that max is a plain integer max, and the
-order of the offers does not matter:
+order of the offers does not matter.  Lines of one slope are parallel,
+so at each index the best of them is the one with the largest packed
+intercept; the tag in the low bits carries the tie-break.  The walk
+over the curves' breakpoints only records (index range, packed
+intercept) per slope.  Each slope then takes one offline range max over
+its ranges (a sparse table of power-of-two blocks) and adds
+s * slope_c * W.  The row and its backpointers are unpacked once per
+level.
 
-* lines.  Segments of one slope are parallel, so at each index the
-  best of them is the one with the largest packed intercept; the tag
-  in the low bits carries the tie-break.  The walk over the curves'
-  breakpoints only records (index range, packed intercept) per slope.
-  Each slope then takes one offline range max over its ranges (a
-  sparse table of power-of-two blocks) and adds s * slope_c * W.
-* pre-open ranges.  At index s the pre-open offers come from the t in
-  (s - q_open, s] with value prev[t].  prev is nondecreasing in t
-  (more budget never meets less demand), so their max is prev[s] from
-  the smallest such t with prev[t] = prev[s]: max(run_start(s),
-  s - q_open + 1), run_start(s) the first index of the run of equal
-  values that holds s.  One vectorised max per row.
-
-The row and its backpointers are unpacked once per level.
-
-Only the first t of each run of equal values in prev is walked.  If
-prev[t] = prev[t - 1], both offsets walk the same serve curve f, so the
-offer of t at s, prev[t] + f(s - t), is at most that of t - 1,
-prev[t] + f(s - t + 1) (f is nondecreasing), and t - 1 wins ties.
+The fill's one dominance rule: only the first t of each run of equal
+values in prev is walked.  If prev[t] = prev[t - 1], both offsets walk
+the same serve curve f, so the offer of t at s, prev[t] + f(s - t), is
+at most that of t - 1, prev[t] + f(s - t + 1) (f is nondecreasing), and
+t - 1 wins ties.  The pre-open offers are part of f (f(q) = 0 before
+the opening is paid), so the rule covers them too.
 """
 
 from __future__ import annotations
@@ -229,40 +224,28 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     ``ServeCurve``'s breakpoints records (index range, packed
     intercept) per slope and makes no numpy call; each slope then takes
     one ``_range_max`` over its ranges and adds s * slope * W (the
-    saturated tails are the slope-0 lines), and the pre-open ranges are
-    one more max (see the module docstring).  The row and the
-    backpointers are unpacked once per level.
+    pre-open ranges and the saturated tails are the slope-0 lines).
+    The row and the backpointers are unpacked once per level.
 
     Only the first carry-over of each run of equal values in the row
-    below builds a serve curve: a later one of the same run walks the
-    same curve one grid step later, so it never wins.  ``curves``
-    counts the curves the fill walked.
+    below offers anything: a later one of the same run walks the same
+    curve one grid step later, so it never wins.  ``curves`` counts the
+    curves the fill walked.
 
     Level i reads the row below over its scale S and writes over
     unit = S * cost_lcm(row i): met demand and money stay over S, and a
     partial serve e0 * lcm // c is exact.  The row and its scale are
     then reduced by their gcd.
 
-    dtype.  Let D = total_demand * unit and P = money_max * unit, with
-    money_max at least the grid endpoint (size - 1) * K and every
-    facility's opening plus serve-everything cost, so D + P = headroom * unit.  A
-    segment of rate c has intercept base + amount - (open_money +
-    spent) * lcm / c - t * slope, where base + amount <= D, the money
-    term is at most P and t * slope <= (size - 1) * K * unit <= P: packed
-    intercepts lie in [-2PW, DW + W).  Tails and pre-open keys lie in
-    [0, DW + W).  The floor -(slope * (size - 1) * W + W) and each
-    s * slope * W are at most PW + W in magnitude, and best + s * slope
-    * W is an offer's key (in [0, DW + W)) or at most the floor plus
-    (size - 1) * slope * W (in [floor, -W]).  So every value the fill
-    forms has magnitude at most (2 * headroom * unit + 1) * W, and a
-    level is int64 when that is below 2**63, object arrays of Python
-    ints otherwise.  Both dtypes run the same code.
+    dtype.  top is the largest, over the slopes, of -min(keys) and
+    max(keys, 0) + ((size - 1) * slope + 1) * W.  It bounds every value
+    the level forms: the keys, the floor -((size - 1) * slope + 1) * W,
+    each s * slope * W, and best + s * slope * W, which runs from the
+    floor up to the largest key plus (size - 1) * slope * W.  A level is
+    int64 when top < 2**63, object arrays of Python ints otherwise; both
+    dtypes run the same code.
     """
     size, K = grid.size, grid.K
-    # headroom for scaled money values: serve-everything cost can exceed
-    # the grid endpoint, so bound by whichever is larger
-    money_max = max((size - 1) * K, contribution_search_limit(inst))
-    headroom = money_max + inst.total_demand
     bits = (size - 1).bit_length()
     W = 1 << bits  # carry-over tags W - 1 - t lie in [0, W)
     clients = range(1, inst.n + 1)
@@ -276,13 +259,12 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
         scale = scales[i]  # of the row below, and of met demand and money
         lcm = cost_lcm(inst.costs[i - 1])
         unit = scale * lcm  # of this level's values
-        dtype: object = (np.int64 if (2 * headroom * unit + 1) * W < 2**63
-                         else object)
         step_money = K * scale  # scaled money one grid step adds
         open_money = facility.open_cost * scale
         q_open = -(-facility.open_cost // K)  # first offset paying open_cost
         prev = rows[i]
-        # rate c -> (lcm // c, slope_c); the slope-0 lines are the tails
+        # rate c -> (lcm // c, slope_c); the slope-0 lines are the
+        # pre-open ranges and the tails
         rates = {c: (lcm // c, step_money * (lcm // c))
                  for c in set(inst.costs[i - 1]) if not is_inf(c) and c > 0}
         # slope -> first indices, end indices and packed intercepts of
@@ -294,7 +276,13 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
         starts = np.concatenate(([0], np.flatnonzero(prev[1:] != prev[:-1])
                                  + 1))
         curves += len(starts)
-        for t, met in zip(starts.tolist(), prev[starts].tolist()):
+        offsets, mets = starts.tolist(), prev[starts].tolist()
+        if q_open > 0:  # nothing is served before the opening is paid
+            lines[0] = (starts.tolist(),
+                        np.minimum(starts + min(q_open, size), size).tolist(),
+                        [met * lcm * W + W - 1 - t
+                         for t, met in zip(offsets, mets)])
+        for t, met in zip(offsets, mets):
             width = size - t
             curve = ServeCurve(inst, i, clients, met, scale, lcm)
             base = met * lcm  # demand met below, over this level's unit
@@ -323,17 +311,12 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
                 firsts.append(t + lo)
                 ends.append(size)
                 keys.append((base + curve.amount[-1]) * W + tag)
+        top = max(max(-min(keys), max(max(keys), 0)
+                      + ((size - 1) * slope + 1) * W)
+                  for slope, (_, _, keys) in lines.items())
+        dtype: object = np.int64 if top < 2**63 else object
         key = np.full(size, -1, dtype=dtype)
         ramp = np.arange(size, dtype=dtype)
-        if q_open > 0:
-            # pre-open: prev[s] from the smallest offset t in
-            # (s - q_open, s] with prev[t] = prev[s]
-            run_start = np.zeros(size, dtype=np.int64)
-            run_start[starts] = starts
-            np.maximum.accumulate(run_start, out=run_start)
-            first = np.maximum(run_start, ramp - (q_open - 1))
-            np.maximum(key, prev.astype(dtype) * (lcm * W) + (W - 1 - first),
-                       out=key)
         for slope, (firsts, ends, keys) in lines.items():
             best = _range_max(size, np.array(firsts), np.array(ends),
                               np.array(keys, dtype=dtype),

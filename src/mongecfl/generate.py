@@ -12,9 +12,10 @@ release/deadline windows.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from .model import INF, Client, Cost, Facility, Instance
+from .model import INF, Client, Cost, Facility, Instance, is_inf
+from .oracle import min_cost_assignment
 from .reductions import LotSizingInstance, lot_sizing_to_cfl
 
 
@@ -102,35 +103,44 @@ def random_windowed_instance(rng: random.Random, m: int, n: int,
                              max_open_cost: int = 20, max_capacity: int = 15,
                              feasible: bool = False) -> Instance:
     """Monotone release/deadline windows; additive costs inside windows."""
-    releases = sorted(rng.randint(1, m) for _ in range(n))
-    deadlines = sorted(rng.randint(1, m) for _ in range(n))
-    deadlines = [max(r, t) for r, t in zip(releases, deadlines)]
-    half = max_cost // 2
-    rows = [rng.randint(0, half) for _ in range(m)]
-    cols = [rng.randint(0, max_cost - half) for _ in range(n)]
-    costs: List[List[Cost]] = [
-        [rows[i - 1] + cols[j - 1]
-         if releases[j - 1] <= i <= deadlines[j - 1] else INF
-         for j in range(1, n + 1)]
-        for i in range(1, m + 1)]
-    clients = [Client(rng.randint(1, max_demand), releases[j], deadlines[j])
-               for j in range(n)]
+    while True:
+        releases = sorted(rng.randint(1, m) for _ in range(n))
+        deadlines = sorted(rng.randint(1, m) for _ in range(n))
+        deadlines = [max(r, t) for r, t in zip(releases, deadlines)]
+        half = max_cost // 2
+        rows = [rng.randint(0, half) for _ in range(m)]
+        cols = [rng.randint(0, max_cost - half) for _ in range(n)]
+        costs: List[List[Cost]] = [
+            [rows[i - 1] + cols[j - 1]
+             if releases[j - 1] <= i <= deadlines[j - 1] else INF
+             for j in range(1, n + 1)]
+            for i in range(1, m + 1)]
+        clients = [Client(rng.randint(1, max_demand), r, d)
+                   for r, d in zip(releases, deadlines)]
+        inst = _with_facilities(rng, clients, costs, max_open_cost,
+                                max_capacity, feasible)
+        if inst is not None:
+            return inst
+        # windows themselves may be too tight; redraw the whole instance
+
+
+def _with_facilities(rng: random.Random, clients: List[Client],
+                     costs: List[List[Cost]], max_open_cost: int,
+                     max_capacity: int, feasible: bool,
+                     ) -> Optional[Instance]:
+    """The instance with the first of up to 100 facility draws that can
+    serve all demand (any draw when feasible is False); None if no draw
+    can.  Opening more facilities never makes an instance infeasible, so
+    one flow with all of them open decides it."""
     for _ in range(100):
         facilities = [Facility(rng.randint(0, max_open_cost),
                                rng.randint(1, max_capacity))
-                      for _ in range(m)]
+                      for _ in range(len(costs))]
         inst = Instance(facilities, clients, costs)
-        if not feasible or _windowed_feasible(inst):
+        if not feasible or not is_inf(
+                min_cost_assignment(inst, range(1, inst.m + 1))[0]):
             return inst
-    # windows themselves may be too tight; redraw the whole instance
-    return random_windowed_instance(rng, m, n, max_cost, max_demand,
-                                    max_open_cost, max_capacity, feasible)
-
-
-def _windowed_feasible(inst: Instance) -> bool:
-    from .oracle import brute_force_optimum
-    from .model import is_inf
-    return not is_inf(brute_force_optimum(inst).optimum)
+    return None
 
 
 def random_two_class_instance(rng: random.Random, m: int, n: int,
@@ -140,33 +150,29 @@ def random_two_class_instance(rng: random.Random, m: int, n: int,
                               ) -> Tuple[Instance, Tuple[int, ...], Tuple[int, ...]]:
     """Instance plus an (s1, s2) split: s1 release-free, s2 with
     nondecreasing release dates; deadlines are open-ended."""
-    classes = [rng.randint(1, 2) for _ in range(n)]
-    if 2 in classes:
-        s2_releases = sorted(rng.randint(1, m)
-                             for _ in range(classes.count(2)))
-    else:
-        s2_releases = []
-    half = max_cost // 2
-    rows = [rng.randint(0, half) for _ in range(m)]
-    cols = [rng.randint(0, max_cost - half) for _ in range(n)]
-    releases = []
-    it = iter(s2_releases)
-    for cls in classes:
-        releases.append(1 if cls == 1 else next(it))
-    costs: List[List[Cost]] = [
-        [rows[i - 1] + cols[j - 1] if i >= releases[j - 1] else INF
-         for j in range(1, n + 1)]
-        for i in range(1, m + 1)]
-    clients = [Client(rng.randint(1, max_demand), releases[j], m)
-               for j in range(n)]
-    s1 = tuple(j + 1 for j, cls in enumerate(classes) if cls == 1)
-    s2 = tuple(j + 1 for j, cls in enumerate(classes) if cls == 2)
-    for _ in range(100):
-        facilities = [Facility(rng.randint(0, max_open_cost),
-                               rng.randint(1, max_capacity))
-                      for _ in range(m)]
-        inst = Instance(facilities, clients, costs)
-        if not feasible or _windowed_feasible(inst):
+    while True:
+        classes = [rng.randint(1, 2) for _ in range(n)]
+        if 2 in classes:
+            s2_releases = sorted(rng.randint(1, m)
+                                 for _ in range(classes.count(2)))
+        else:
+            s2_releases = []
+        half = max_cost // 2
+        rows = [rng.randint(0, half) for _ in range(m)]
+        cols = [rng.randint(0, max_cost - half) for _ in range(n)]
+        releases = []
+        it = iter(s2_releases)
+        for cls in classes:
+            releases.append(1 if cls == 1 else next(it))
+        costs: List[List[Cost]] = [
+            [rows[i - 1] + cols[j - 1] if i >= releases[j - 1] else INF
+             for j in range(1, n + 1)]
+            for i in range(1, m + 1)]
+        clients = [Client(rng.randint(1, max_demand), releases[j], m)
+                   for j in range(n)]
+        inst = _with_facilities(rng, clients, costs, max_open_cost,
+                                max_capacity, feasible)
+        if inst is not None:
+            s1 = tuple(j + 1 for j, cls in enumerate(classes) if cls == 1)
+            s2 = tuple(j + 1 for j, cls in enumerate(classes) if cls == 2)
             return inst, s1, s2
-    return random_two_class_instance(rng, m, n, max_cost, max_demand,
-                                     max_open_cost, max_capacity, feasible)

@@ -117,11 +117,6 @@ def validate_instance(inst: Instance) -> List[str]:
         report.append("at least one facility required")
     if inst.n < 1:
         report.append("at least one client required")
-    for i, f in enumerate(inst.facilities, start=1):
-        if f.open_cost < 0:
-            report.append(f"facility {i}: open cost must be nonnegative")
-        if f.capacity < 1:
-            report.append(f"facility {i}: capacity must be positive")
     for j, c in enumerate(inst.clients, start=1):
         if c.demand < 1:
             report.append(f"client {j}: demand must be positive")

@@ -474,19 +474,25 @@ def test_bench_empty_suite(tmp_path, capsys):
 
 def test_malformed_instance_json_rejected(tmp_path, capsys):
     good = json.loads(Path(write_ref1(tmp_path)).read_text())
-    bad_values = [("facilities", 5), ("facilities", [5]), ("clients", "2"),
-                  ("clients", [[2]]), ("costs", 5), ("costs", [5, 5])]
+    bad_values = [(field, value, field) for field, value in (
+        ("facilities", 5), ("facilities", [5]), ("clients", "2"),
+        ("clients", [[2]]), ("costs", 5), ("costs", [5, 5]))]
+    # out-of-range facility fields, named in the message by their key
+    for key, value in (("open_cost", -1), ("capacity", 0)):
+        facilities = [dict(f) for f in good["facilities"]]
+        facilities[0][key] = value
+        bad_values.append(("facilities", facilities, key))
     path = tmp_path / "bad.json"
     out_path = tmp_path / "converted.json"
     commands = (["solve"], ["check"],
                 ["convert", "--from", "single-demand", "--output",
                  str(out_path)])
-    for field, value in bad_values:
+    for field, value, named in bad_values:
         path.write_text(json.dumps(dict(good, **{field: value})))
         for argv in commands:
             code, out, err = run(capsys, *argv, "--input", str(path))
             assert code == 1 and out == "", (field, value, argv)
-            assert one_line_error(err) and field in err, (field, value, argv)
+            assert one_line_error(err) and named in err, (field, value, argv)
     path.write_text("[1]")
     for argv in commands:
         code, out, err = run(capsys, *argv, "--input", str(path))

@@ -105,25 +105,44 @@ def test_staircase_fills_match_reference():
 
 
 def test_each_level_picks_its_own_dtype():
-    """A level is object dtype when its packed keys, about
-    2 * headroom * unit * W, can pass 2**63.  Facility 2's cost
-    2**40 + 1 puts its level's unit past that on its own.  Cost
-    2**28 + 1 keeps headroom * unit below 2**62, but the packed keys
-    of its 15-point grid (W = 16) still pass 2**63, so that level is
-    object dtype as well.  Both rows of facility 2 reduce to scale 1,
-    and the level above, whose costs are 1, is int64 again."""
-    for inst in (
-            Instance([Facility(0, 5), Facility(0, 2)],
-                     [Client(3), Client(2)], [[1, 1], [2**40 + 1, 0]]),
-            Instance([Facility(0, 5), Facility(0, 20)],
-                     [Client(2), Client(9)], [[1, 1], [1, 2**28 + 1]])):
-        grid = BudgetGrid.for_instance(2, find_budget_bound(inst),
-                                       Fraction(1, 2))
-        assert assert_same_table(inst, grid) == (False, False)
-        table = build_value_table(inst, grid)
-        assert [row.dtype for row in table.rows] == [
-            np.dtype(np.int64), np.dtype(object), np.dtype(np.int64)]
-        assert table.scales == [1, 1, 1]
+    """A level is object dtype exactly when a value it forms passes
+    int64, and the levels on either side stay int64.  Both grids have
+    W = 16, and facility 2's level has unit = its cost c.  In the first
+    instance facility 2 first serves client 2 for free, 2 units over
+    unit c, a packed key of 2 * c * W plus its tag: it passes 2**63
+    from c = 2**58 + 1 on.
+    In the second, facility 2's rate-1 lines have slope K * c, and
+    their floor ((size - 1) * K * c + 1) * W passes 2**63 at
+    c = 7 * 2**25 + 1, while every key of the level is still below
+    2**63, and at c = 2**28 + 1.  Both rows of facility 2 reduce to
+    scale 1, and the level above, whose costs are 1, is int64."""
+    def first(c):
+        return Instance([Facility(0, 5), Facility(0, 2)],
+                        [Client(3), Client(2)], [[1, 1], [c, 0]])
+
+    def second(c):
+        return Instance([Facility(0, 5), Facility(0, 20)],
+                        [Client(2), Client(9)], [[1, 1], [1, c]])
+
+    objects = 0
+    for make, costs, top in (
+            (first, (2**57 + 1, 2**58 + 1), lambda grid, c: 2 * c * 16),
+            (second, (2**27 + 1, 7 * 2**25 + 1, 2**28 + 1),
+             lambda grid, c: ((grid.size - 1) * grid.K * c + 1) * 16)):
+        for c in costs:
+            inst = make(c)
+            grid = BudgetGrid.for_instance(2, find_budget_bound(inst),
+                                           Fraction(1, 2))
+            assert (grid.size - 1).bit_length() == 4
+            assert assert_same_table(inst, grid) == (False, False)
+            table = build_value_table(inst, grid)
+            passes = top(grid, c) >= 2**63
+            assert [row.dtype for row in table.rows] == [
+                np.dtype(np.int64), np.dtype(object if passes else np.int64),
+                np.dtype(np.int64)]
+            assert table.scales == [1, 1, 1]
+            objects += passes
+    assert objects == 3
 
 
 def dense_instance(seed):
@@ -184,13 +203,14 @@ def test_fill_on_long_runs_of_equal_met_values():
     """Plateaus in the row below: a facility that saturates after a few
     grid steps, facilities that can serve nothing (an all-inf cost row,
     as the lot-sizing reduction encodes a zero-capacity order), and a
-    lot-sizing instance with zero-capacity orders, each under the three
-    kinds of opening cost (free, a multiple of K, not a multiple of
-    K)."""
+    lot-sizing instance with zero-capacity orders, each under four
+    kinds of opening cost (free, a multiple of K, not a multiple of K,
+    and 2**70, past int64 and, on the fixed grid, past its end, so
+    there nothing is served)."""
     clients = [Client(d) for d in (7, 5, 9, 4)]
     costs = [[3, 2, 2, 4], [4, 2, 1, 2], [6, 3, 1, 1], [9, 5, 2, 1]]
     grid = BudgetGrid(K=2, size=61)
-    for open_cost in (0, 6, 7):
+    for open_cost in (0, 6, 7, 2**70):
         plateau = Instance(
             [Facility(open_cost, 30), Facility(open_cost, 12),
              Facility(open_cost, 11), Facility(open_cost, 3)],
