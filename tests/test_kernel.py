@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import (ReferenceServeCurve, greedy_transport,
                       recompute_flow_cost, reference_demand_met,
                       reference_serve_schedule)
-from mongecfl.generate import monge_cost_matrix, random_monge_instance
+from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
+                               random_monge_instance)
 from mongecfl.kernel import (Flow, ServeCurve, cost_lcm, demand_met,
                              greedy_serve, serve_schedule)
 from mongecfl.model import INF, Client, Facility, Instance, is_inf
+from mongecfl.reductions import lot_sizing_to_cfl
 
 
 def test_greedy_transport_examples():
@@ -84,11 +86,39 @@ def test_greedy_serve_preconditions(ref1):
         greedy_serve(ref1, 1, 1, 1, 3)  # d exceeds demand of client 1
     with pytest.raises(ValueError):
         greedy_serve(ref1, 1, 6, 1, 2)  # u exceeds remaining demand
+    with pytest.raises(ValueError):
+        greedy_serve(ref1, 1, -1, 1, 2)
 
 
 def test_greedy_serve_all_served_means_no_remainder(ref1):
     r = greedy_serve(ref1, 1, 5, 1, 2)
     assert r.next_client == ref1.n + 1 and r.demand_remaining == 0
+
+
+def _simulate_greedy_serve(inst, i, u, j, d):
+    """Pour u units into clients j, j+1, ...: the first client left with
+    demand (n + 1 if none), its demand left, and the cost."""
+    left = u
+    cost = 0
+    for k in range(j, inst.n + 1):
+        avail = d if k == j else inst.demand(k)
+        take = min(avail, left)
+        if take > 0:
+            c = inst.cost(i, k)
+            cost = INF if (is_inf(c) or is_inf(cost)) else cost + c * take
+        left -= take
+        if take < avail:
+            return k, avail - take, cost
+    return inst.n + 1, 0, cost
+
+
+def _assert_greedy_serve_simulated(inst, i, u, j, d):
+    result = greedy_serve(inst, i, u, j, d)
+    expected = _simulate_greedy_serve(inst, i, u, j, d)
+    got = (result.next_client, result.demand_remaining,
+           result.transport_cost)
+    assert got == expected
+    assert [type(x) for x in got] == [type(x) for x in expected]
 
 
 def test_greedy_serve_cost_matches_simulation():
@@ -102,20 +132,31 @@ def test_greedy_serve_cost_matches_simulation():
             continue
         u = rng.randint(1, rest)
         i = rng.randint(1, inst.m)
-        result = greedy_serve(inst, i, u, j, d)
-        # explicit simulation: pour u units into clients j, j+1, ...
-        left = u
-        cost = 0
-        for k in range(j, inst.n + 1):
-            avail = d if k == j else inst.demand(k)
-            take = min(avail, left)
-            if take > 0:
-                c = inst.cost(i, k)
-                cost = INF if (is_inf(c) or is_inf(cost)) else cost + c * take
-            left -= take
-            if left == 0:
-                break
-        assert result.transport_cost == cost
+        _assert_greedy_serve_simulated(inst, i, u, j, d)
+
+
+def test_greedy_serve_inf_costs_and_empty_serves():
+    # lot-sizing instances: infinite costs before each client's period
+    # and clients of demand 0; u = 0 and u = all remaining demand
+    rng = random.Random(8)
+    for _ in range(200):
+        inst = lot_sizing_to_cfl(random_lot_sizing(rng, rng.randint(1, 6)))
+        j = rng.randint(1, inst.n)
+        d = rng.randint(0, inst.demand(j))
+        rest = d + sum(inst.demand(k) for k in range(j + 1, inst.n + 1))
+        i = rng.randint(1, inst.m)
+        for u in {0, rng.randint(0, rest), rest}:
+            _assert_greedy_serve_simulated(inst, i, u, j, d)
+    # every (i, u, j, d) where clients of demand 0 sit between others
+    inst = Instance([Facility(1, 5), Facility(2, 5)],
+                    [Client(0), Client(2), Client(0), Client(1), Client(0)],
+                    [[1, 3, INF, 2, 4], [INF, 0, 5, INF, 1]])
+    for i in (1, 2):
+        for j in range(1, inst.n + 1):
+            for d in range(inst.demand(j) + 1):
+                rest = d + sum(c.demand for c in inst.clients[j:])
+                for u in range(rest + 1):
+                    _assert_greedy_serve_simulated(inst, i, u, j, d)
 
 
 def test_serve_schedule_serves_the_residual_profile(ref1):
