@@ -50,6 +50,7 @@ def random_monge_instance(rng: random.Random, m: int, n: int,
                           feasible: bool = False) -> Instance:
     """Random Monge instance; with feasible=True, capacities are resampled
     until they can absorb the total demand."""
+    _check_capacity(m, n, max_capacity, feasible)
     costs = monge_cost_matrix(rng, m, n, max_cost)
     while True:
         clients = [Client(rng.randint(1, max_demand)) for _ in range(n)]
@@ -65,6 +66,10 @@ def random_lot_sizing(rng: random.Random, horizon: int,
                       max_cost: int = 10, max_demand: int = 6,
                       max_holding: int = 10, max_capacity: int = 15,
                       feasible: bool = False) -> LotSizingInstance:
+    if max_demand < 1:
+        raise ValueError("max_demand must be >= 1: a draw needs a demand")
+    if feasible and max_capacity < 1:
+        raise ValueError("feasible draws need max_capacity >= 1")
     while True:
         orders = [(rng.randint(0, max_cost), rng.randint(0, max_capacity))
                   for _ in range(horizon)]
@@ -92,6 +97,15 @@ def _lot_sizing_feasible(ls: LotSizingInstance) -> bool:
     return True
 
 
+def _check_capacity(m: int, n: int, max_capacity: int,
+                    feasible: bool) -> None:
+    """Every demand is at least 1, so a feasible draw needs m * max_capacity
+    >= n."""
+    if feasible and m * max_capacity < n:
+        raise ValueError(f"no feasible draw: {m} facilities of capacity at "
+                         f"most {max_capacity} cannot serve {n} clients")
+
+
 def random_staircase_instance(rng: random.Random, horizon: int,
                               **kwargs) -> Instance:
     """Monge instance with a staircase infinity pattern (via lot-sizing)."""
@@ -103,6 +117,7 @@ def random_windowed_instance(rng: random.Random, m: int, n: int,
                              max_open_cost: int = 20, max_capacity: int = 15,
                              feasible: bool = False) -> Instance:
     """Monotone release/deadline windows; additive costs inside windows."""
+    _check_capacity(m, n, max_capacity, feasible)
     while True:
         releases = sorted(rng.randint(1, m) for _ in range(n))
         deadlines = sorted(rng.randint(1, m) for _ in range(n))
@@ -150,6 +165,7 @@ def random_two_class_instance(rng: random.Random, m: int, n: int,
                               ) -> Tuple[Instance, Tuple[int, ...], Tuple[int, ...]]:
     """Instance plus an (s1, s2) split: s1 release-free, s2 with
     nondecreasing release dates; deadlines are open-ended."""
+    _check_capacity(m, n, max_capacity, feasible)
     while True:
         classes = [rng.randint(1, 2) for _ in range(n)]
         if 2 in classes:

@@ -3,6 +3,8 @@
 import hashlib
 import random
 
+import pytest
+
 from mongecfl.generate import (random_lot_sizing, random_monge_instance,
                                random_two_class_instance,
                                random_windowed_instance)
@@ -47,3 +49,64 @@ def _pinned_draws():
 def test_draws_match_pinned_digest():
     text = "\n".join(map(repr, _pinned_draws()))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST
+
+
+class CountingRandom(random.Random):
+    """A Random that fails the test instead of drawing forever."""
+
+    LIMIT = 10**4
+
+    def __init__(self, seed):
+        self.draws = 0
+        super().__init__(seed)
+
+    def _count(self):
+        self.draws += 1
+        if self.draws > self.LIMIT:
+            raise AssertionError(f"more than {self.LIMIT} draws")
+
+    def random(self):
+        self._count()
+        return super().random()
+
+    def getrandbits(self, k):
+        self._count()
+        return super().getrandbits(k)
+
+
+def _windows(generator, n, **kwargs):
+    return lambda rng: generator(rng, 2, n, max_capacity=2, **kwargs)
+
+
+# m * max_capacity = 4 units of capacity for 5 clients of demand >= 1
+@pytest.mark.parametrize("draw", [
+    _windows(random_monge_instance, 5, feasible=True),
+    _windows(random_windowed_instance, 5, feasible=True),
+    _windows(random_two_class_instance, 5, feasible=True),
+    lambda rng: random_lot_sizing(rng, 4, max_demand=0),
+    lambda rng: random_lot_sizing(rng, 4, max_demand=0, feasible=True),
+    lambda rng: random_lot_sizing(rng, 4, max_capacity=0, feasible=True),
+], ids=["monge", "windowed", "two-class", "lot-sizing-no-demand",
+        "lot-sizing-no-demand-feasible", "lot-sizing-no-capacity"])
+def test_no_possible_draw_is_rejected(draw):
+    rng = CountingRandom(0)
+    with pytest.raises(ValueError):
+        draw(rng)
+    assert rng.draws == 0
+
+
+# the same bounds where a draw exists still return one
+@pytest.mark.parametrize("draw", [
+    _windows(random_monge_instance, 5),
+    _windows(random_windowed_instance, 5),
+    _windows(random_two_class_instance, 5),
+    _windows(random_monge_instance, 4, max_demand=1, feasible=True),
+    _windows(random_windowed_instance, 4, max_demand=1, feasible=True),
+    _windows(random_two_class_instance, 4, max_demand=1, feasible=True),
+    lambda rng: random_lot_sizing(rng, 4, max_capacity=0),
+    lambda rng: random_lot_sizing(rng, 4, max_demand=1, max_capacity=1,
+                                  feasible=True),
+])
+def test_possible_draw_returns(draw):
+    for seed in range(5):
+        draw(CountingRandom(seed))
