@@ -8,6 +8,8 @@ import random
 import statistics
 from fractions import Fraction
 
+import pytest
+
 from conftest import (exact_value_function, extended_grid, greedy_transport,
                       lot_sizing_brute)
 from mongecfl import io as mio
@@ -62,6 +64,7 @@ def test_criterion_3_fptas_guarantee():
             assert cost <= (1 + eps) * opt
 
 
+@pytest.mark.slow
 def test_criterion_4_grid_lemma():
     """Rounded table dominates the exact value function on a shifted grid."""
     rng = random.Random(404)

@@ -36,6 +36,7 @@ def assert_same_result(inst, partition, eps):
     return got
 
 
+@pytest.mark.slow
 def test_criterion_9_draws():
     rng = random.Random(909)  # the acceptance test's draws, in its order
     for _ in range(100):
