@@ -9,9 +9,8 @@ from .exact import DemandCapExceeded, ExactSolver, Solution, solve_exact
 from .extensions import (ClientPartition, check_windowed_monge,
                          run_two_class_fptas, solve_two_class_fptas)
 from .fptas import (BudgetGrid, FptasResult, ValueTable, build_value_table,
-                    find_budget_bound, find_min_contribution,
-                    max_contribution_feasible, run_fptas, solve_fptas)
-from .kernel import Flow, demand_met, serve_schedule
+                    find_budget_bound, run_fptas, solve_fptas)
+from .kernel import Flow
 from .model import (INF, Client, Facility, Infeasible, Instance, MongeWitness,
                     check_monge_adjacent, check_monge_full, is_inf,
                     validate_instance)
@@ -24,11 +23,10 @@ __all__ = [
     "Instance", "LotSizingInstance", "MongeWitness",
     "OracleResult", "Solution", "ValueTable", "brute_force_optimum",
     "build_value_table", "check_monge_adjacent", "check_monge_full",
-    "check_windowed_monge", "demand_met", "find_budget_bound",
-    "find_min_contribution", "is_inf", "lot_sizing_to_cfl",
-    "max_contribution_feasible", "min_cost_assignment", "multi_item_to_cfl",
-    "run_fptas", "run_two_class_fptas", "serve_schedule", "solve_exact",
-    "solve_fptas", "solve_two_class_fptas", "validate_instance",
+    "check_windowed_monge", "find_budget_bound", "is_inf",
+    "lot_sizing_to_cfl", "min_cost_assignment", "multi_item_to_cfl",
+    "run_fptas", "run_two_class_fptas", "solve_exact", "solve_fptas",
+    "solve_two_class_fptas", "validate_instance",
 ]
 
 __version__ = "0.1.0"

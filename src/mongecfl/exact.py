@@ -80,9 +80,9 @@ class Solution:
 class ExactSolver:
     """Bottom-up evaluation of the (i, S) recurrence.
 
-    Each call to ``solve`` or ``value`` runs its own sweep; ``states`` and
-    ``u_steps`` count the (i, S) states and the u values (finite-cost
-    serves) that the last one swept.
+    Each call to ``solve`` runs its own sweep; ``states`` and ``u_steps``
+    count the (i, S) states and the u values (finite-cost serves) that
+    the last one swept.
     """
 
     def __init__(self, inst: Instance, demand_cap: int = DEFAULT_DEMAND_CAP):
@@ -104,11 +104,12 @@ class ExactSolver:
         self.states = 0
         self.u_steps = 0
 
-    def _level(self, i: int, nxt: List[Cost], lo: int,
-               hi: int) -> Tuple[List[Cost], array]:
-        """Row i from row i + 1 over lo <= S <= hi (INF elsewhere), and
-        the chosen u per S in that range (0: facility i stays closed)."""
+    def _level(self, i: int, nxt: List[Cost]) -> Tuple[List[Cost], array]:
+        """Row i from row i + 1 over level i's range of S (INF
+        elsewhere), and the chosen u per S in that range (0: facility i
+        stays closed)."""
         total = self.total
+        lo, hi = self._low[i], self._reach[i]
         f = self.inst.facilities[i - 1]
         costs = self.inst.costs[i - 1]
         unit_cost = [costs[k] for k in self._unit_client]
@@ -141,37 +142,14 @@ class ExactSolver:
         self.u_steps += steps
         return row, choice
 
-    def _last_row(self) -> List[Cost]:
-        """Row m + 1: nothing left to serve costs 0, anything else INF."""
-        row: List[Cost] = [INF] * (self.total + 1)
-        row[self.total] = 0
-        return row
-
-    def value(self, i: int, j: int, d: int) -> Cost:
-        """Cheapest way to serve d units at client j plus all demand of
-        clients after j with facilities i..m; INF if impossible."""
-        inst = self.inst
-        if j == inst.n + 1:
-            return 0
-        if not (1 <= i <= inst.m + 1 and 1 <= j <= inst.n):
-            raise ValueError("facility or client index out of range")
-        if not 0 <= d <= inst.demand(j):
-            raise ValueError("d must be between 0 and the demand of client j")
-        served = sum(inst.demand(k) for k in range(1, j + 1)) - d
-        self.states = self.u_steps = 0
-        row = self._last_row()
-        for k in range(inst.m, i - 1, -1):
-            row, _ = self._level(k, row, self._low[k], self.total)
-        return row[served]
-
     def solve(self) -> Solution:
         inst = self.inst
         self.states = self.u_steps = 0
-        row = self._last_row()
+        # row m + 1: nothing left to serve costs 0, anything else INF
+        row: List[Cost] = [INF] * self.total + [0]
         choices: List[array] = [array("q")] * (inst.m + 1)
         for i in range(inst.m, 0, -1):
-            row, choices[i] = self._level(i, row, self._low[i],
-                                          self._reach[i])
+            row, choices[i] = self._level(i, row)
         cost = row[0]
         if is_inf(cost):
             return Solution(frozenset(), Flow({}, INF), INF)

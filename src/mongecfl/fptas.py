@@ -131,15 +131,10 @@ def serve_everything_costs(inst: Instance) -> List[int]:
             for f, row in zip(inst.facilities, inst.costs)]
 
 
-def contribution_search_limit(inst: Instance) -> int:
-    """Upper end of the binary-search range for the contribution cap."""
-    return max(serve_everything_costs(inst))
-
-
 def find_min_contribution(inst: Instance) -> int:
     """Smallest integer ell admitting a solution where every open
     facility contributes at most ell; raises Infeasible if none."""
-    hi = contribution_search_limit(inst)
+    hi = max(serve_everything_costs(inst))
     if not max_contribution_feasible(inst, hi)[0]:
         raise Infeasible("no feasible solution")
     lo = 1

@@ -4,9 +4,9 @@ Monge cost matrices come from the cumulative construction
 c[i][j] = row[i] + col[j] + sum of a nonnegative density over the
 rectangle {p >= i} x {q <= j}; the rectangle term makes every Monge
 quadruple difference a negated rectangle sum, hence nonpositive.
-Staircase-infinity instances are produced through the lot-sizing
-reduction, and windowed instances use additive costs inside monotone
-release/deadline windows.
+Staircase-infinity instances come from ``lot_sizing_to_cfl`` applied to
+``random_lot_sizing``, and windowed and two-class instances use additive
+costs inside monotone release/deadline windows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from .model import INF, Client, Cost, Facility, Instance, is_inf
 from .oracle import min_cost_assignment
-from .reductions import LotSizingInstance, lot_sizing_to_cfl
+from .reductions import LotSizingInstance
 
 
 def monge_cost_matrix(rng: random.Random, m: int, n: int,
@@ -106,10 +106,33 @@ def _check_capacity(m: int, n: int, max_capacity: int,
                          f"most {max_capacity} cannot serve {n} clients")
 
 
-def random_staircase_instance(rng: random.Random, horizon: int,
-                              **kwargs) -> Instance:
-    """Monge instance with a staircase infinity pattern (via lot-sizing)."""
-    return lot_sizing_to_cfl(random_lot_sizing(rng, horizon, **kwargs))
+def _window_instance(rng: random.Random, releases: List[int],
+                     deadlines: List[int], m: int, max_cost: int,
+                     max_demand: int, max_open_cost: int, max_capacity: int,
+                     feasible: bool) -> Optional[Instance]:
+    """Additive costs rows[i] + cols[j] inside client j's [release,
+    deadline] window and INF outside it, with the first of up to 100
+    facility draws that can serve all demand (any draw when feasible is
+    False); None if no draw can.  Opening more facilities never makes an
+    instance infeasible, so one flow with all of them open decides it."""
+    half = max_cost // 2
+    rows = [rng.randint(0, half) for _ in range(m)]
+    cols = [rng.randint(0, max_cost - half) for _ in releases]
+    costs: List[List[Cost]] = [
+        [row + col if r <= i <= t else INF
+         for col, r, t in zip(cols, releases, deadlines)]
+        for i, row in enumerate(rows, 1)]
+    clients = [Client(rng.randint(1, max_demand), r, t)
+               for r, t in zip(releases, deadlines)]
+    for _ in range(100):
+        facilities = [Facility(rng.randint(0, max_open_cost),
+                               rng.randint(1, max_capacity))
+                      for _ in range(m)]
+        inst = Instance(facilities, clients, costs)
+        if not feasible or not is_inf(
+                min_cost_assignment(inst, range(1, m + 1))[0]):
+            return inst
+    return None
 
 
 def random_windowed_instance(rng: random.Random, m: int, n: int,
@@ -118,44 +141,14 @@ def random_windowed_instance(rng: random.Random, m: int, n: int,
                              feasible: bool = False) -> Instance:
     """Monotone release/deadline windows; additive costs inside windows."""
     _check_capacity(m, n, max_capacity, feasible)
-    while True:
+    while True:  # windows may be too tight; redraw the whole instance
         releases = sorted(rng.randint(1, m) for _ in range(n))
         deadlines = sorted(rng.randint(1, m) for _ in range(n))
-        deadlines = [max(r, t) for r, t in zip(releases, deadlines)]
-        half = max_cost // 2
-        rows = [rng.randint(0, half) for _ in range(m)]
-        cols = [rng.randint(0, max_cost - half) for _ in range(n)]
-        costs: List[List[Cost]] = [
-            [rows[i - 1] + cols[j - 1]
-             if releases[j - 1] <= i <= deadlines[j - 1] else INF
-             for j in range(1, n + 1)]
-            for i in range(1, m + 1)]
-        clients = [Client(rng.randint(1, max_demand), r, d)
-                   for r, d in zip(releases, deadlines)]
-        inst = _with_facilities(rng, clients, costs, max_open_cost,
-                                max_capacity, feasible)
+        inst = _window_instance(
+            rng, releases, [max(r, t) for r, t in zip(releases, deadlines)],
+            m, max_cost, max_demand, max_open_cost, max_capacity, feasible)
         if inst is not None:
             return inst
-        # windows themselves may be too tight; redraw the whole instance
-
-
-def _with_facilities(rng: random.Random, clients: List[Client],
-                     costs: List[List[Cost]], max_open_cost: int,
-                     max_capacity: int, feasible: bool,
-                     ) -> Optional[Instance]:
-    """The instance with the first of up to 100 facility draws that can
-    serve all demand (any draw when feasible is False); None if no draw
-    can.  Opening more facilities never makes an instance infeasible, so
-    one flow with all of them open decides it."""
-    for _ in range(100):
-        facilities = [Facility(rng.randint(0, max_open_cost),
-                               rng.randint(1, max_capacity))
-                      for _ in range(len(costs))]
-        inst = Instance(facilities, clients, costs)
-        if not feasible or not is_inf(
-                min_cost_assignment(inst, range(1, inst.m + 1))[0]):
-            return inst
-    return None
 
 
 def random_two_class_instance(rng: random.Random, m: int, n: int,
@@ -168,26 +161,12 @@ def random_two_class_instance(rng: random.Random, m: int, n: int,
     _check_capacity(m, n, max_capacity, feasible)
     while True:
         classes = [rng.randint(1, 2) for _ in range(n)]
-        if 2 in classes:
-            s2_releases = sorted(rng.randint(1, m)
-                                 for _ in range(classes.count(2)))
-        else:
-            s2_releases = []
-        half = max_cost // 2
-        rows = [rng.randint(0, half) for _ in range(m)]
-        cols = [rng.randint(0, max_cost - half) for _ in range(n)]
-        releases = []
-        it = iter(s2_releases)
-        for cls in classes:
-            releases.append(1 if cls == 1 else next(it))
-        costs: List[List[Cost]] = [
-            [rows[i - 1] + cols[j - 1] if i >= releases[j - 1] else INF
-             for j in range(1, n + 1)]
-            for i in range(1, m + 1)]
-        clients = [Client(rng.randint(1, max_demand), releases[j], m)
-                   for j in range(n)]
-        inst = _with_facilities(rng, clients, costs, max_open_cost,
-                                max_capacity, feasible)
+        s2_releases = iter(sorted(rng.randint(1, m)
+                                  for _ in range(classes.count(2))))
+        releases = [1 if cls == 1 else next(s2_releases) for cls in classes]
+        inst = _window_instance(rng, releases, [m] * n, m, max_cost,
+                                max_demand, max_open_cost, max_capacity,
+                                feasible)
         if inst is not None:
             s1 = tuple(j + 1 for j, cls in enumerate(classes) if cls == 1)
             s2 = tuple(j + 1 for j, cls in enumerate(classes) if cls == 2)

@@ -66,15 +66,11 @@ class GreedyServeResult:
     transport_cost: Cost
 
 
-def _remaining_after(inst: Instance, j: int, d: int) -> int:
-    """d units at client j plus full demand of clients j+1..n."""
-    return d + sum(inst.demand(k) for k in range(j + 1, inst.n + 1))
-
-
 def greedy_serve(inst: Instance, i: int, u: int, j: int, d: int) -> GreedyServeResult:
     """Serve u units from facility i, starting at client j with d units left.
 
-    Returns the first client with unserved demand, how much of it is
+    The units fill clients j, j + 1, ... in order.  Returns the first
+    client left with unserved demand (n + 1 if none), how much of it is
     unserved, and the transport cost of the u units.  The cost is INF if
     any positively served client has infinite cost from i.
     """
@@ -82,41 +78,20 @@ def greedy_serve(inst: Instance, i: int, u: int, j: int, d: int) -> GreedyServeR
         raise ValueError("facility or client index out of range")
     if not (0 <= d <= inst.demand(j)):
         raise ValueError("d must be between 0 and the demand of client j")
-    if not (0 <= u <= _remaining_after(inst, j, d)):
-        raise ValueError("u exceeds the remaining demand")
-
-    # Locate the first client ell with d + sum_{k=j+1}^{ell} d_k > u;
-    # ell lands on n+1 exactly when u equals all remaining demand.
-    cum = d
-    ell = j
-    while ell <= inst.n and cum <= u:
-        ell += 1
-        if ell <= inst.n:
-            cum += inst.demand(ell)
-
+    if u < 0:
+        raise ValueError("u must be nonnegative")
     cost: Cost = 0
-
-    def add(c: Cost, amount: int) -> Cost:
-        if amount == 0:
-            return cost
-        return INF if (is_inf(c) or is_inf(cost)) else cost + c * amount
-
-    if ell == inst.n + 1:
-        remaining = 0
-        cost = add(inst.cost(i, j), d)
-        for k in range(j + 1, inst.n + 1):
-            cost = add(inst.cost(i, k), inst.demand(k))
-    elif ell == j:
-        remaining = d - u
-        cost = add(inst.cost(i, j), d - remaining)
-    else:
-        served_before_ell = d + sum(inst.demand(k) for k in range(j + 1, ell))
-        remaining = inst.demand(ell) - (u - served_before_ell)
-        cost = add(inst.cost(i, j), d)
-        for k in range(j + 1, ell):
-            cost = add(inst.cost(i, k), inst.demand(k))
-        cost = add(inst.cost(i, ell), inst.demand(ell) - remaining)
-    return GreedyServeResult(ell, remaining, cost)
+    for k in range(j, inst.n + 1):
+        left = d if k == j else inst.demand(k)
+        take = min(u, left)
+        if take > 0:  # INF * 0 would be nan
+            cost += inst.cost(i, k) * take
+        u -= take
+        if take < left:
+            return GreedyServeResult(k, left - take, cost)
+    if u:
+        raise ValueError("u exceeds the remaining demand")
+    return GreedyServeResult(inst.n + 1, 0, cost)
 
 
 @lru_cache(maxsize=1 << 10)

@@ -16,8 +16,8 @@ import pytest
 
 from mongecfl.exact import DEFAULT_DEMAND_CAP, DemandCapExceeded, Solution
 from mongecfl.extensions import TwoClassResult, _vector_serve
-from mongecfl.fptas import (BudgetGrid, ValueTable,
-                            contribution_search_limit, find_budget_bound)
+from mongecfl.fptas import (BudgetGrid, ValueTable, find_budget_bound,
+                            serve_everything_costs)
 from mongecfl.kernel import Amount, Flow, cost_lcm, demand_met, greedy_serve
 from mongecfl.model import (INF, Client, Cost, Facility, Infeasible,
                             Instance, MongeWitness, is_inf)
@@ -378,7 +378,8 @@ def reference_fill_table(inst: Instance, grid: BudgetGrid,
     """
     # headroom for scaled money values: serve-everything cost can exceed
     # the grid endpoint, so bound by whichever is larger
-    money_max = max((grid.size - 1) * grid.K, contribution_search_limit(inst))
+    money_max = max((grid.size - 1) * grid.K,
+                    max(serve_everything_costs(inst)))
     max_scaled = (money_max + inst.total_demand) * scale
     dtype: object = np.int64 if max_scaled < 2**62 else object
     size = grid.size
@@ -594,6 +595,15 @@ def reference_run_two_class(inst: Instance, partition,
     return TwoClassResult(solution, best_cover.budget_sum,
                           (best_cover.b0, best_cover.b1, best_cover.b2),
                           B, grid)
+
+
+def state_instance(inst: Instance, i: int, j: int, d: int) -> Instance:
+    """The exact DP's state (i, j, d), d >= 1, as an instance of its own:
+    facilities i..m, client j with demand d, then clients j+1..n."""
+    clients = [dataclasses.replace(inst.clients[j - 1], demand=d),
+               *inst.clients[j:]]
+    return Instance(inst.facilities[i - 1:], clients,
+                    [row[j - 1:] for row in inst.costs[i - 1:]])
 
 
 class ReferenceExactSolver:

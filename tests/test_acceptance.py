@@ -15,12 +15,11 @@ from conftest import (exact_value_function, extended_grid, greedy_transport,
 from mongecfl import io as mio
 from mongecfl.cli import main
 from mongecfl.extensions import ClientPartition, run_two_class_fptas
-from mongecfl.fptas import (BudgetGrid, build_value_table,
-                            contribution_search_limit, find_budget_bound,
+from mongecfl.fptas import (BudgetGrid, build_value_table, find_budget_bound,
                             find_min_contribution, max_contribution_feasible,
-                            run_fptas)
+                            run_fptas, serve_everything_costs)
 from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
-                               random_monge_instance, random_staircase_instance,
+                               random_monge_instance,
                                random_two_class_instance)
 from mongecfl.model import Client, Facility, Instance, is_inf
 from mongecfl.oracle import brute_force_optimum, min_cost_assignment
@@ -35,7 +34,7 @@ def test_criterion_1_exact_equals_oracle():
         inst = random_monge_instance(rng, rng.randint(1, 5), rng.randint(1, 5))
         assert solve_exact(inst).total_cost == brute_force_optimum(inst).optimum
     for _ in range(100):
-        inst = random_staircase_instance(rng, rng.randint(1, 6))
+        inst = lot_sizing_to_cfl(random_lot_sizing(rng, rng.randint(1, 6)))
         assert solve_exact(inst).total_cost == brute_force_optimum(inst).optimum
 
 
@@ -91,7 +90,7 @@ def test_criterion_5_bound_feasibility_monotone():
     for _ in range(100):
         inst = random_monge_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
                                      max_demand=4)
-        limit = contribution_search_limit(inst)
+        limit = max(serve_everything_costs(inst))
         flags = [max_contribution_feasible(inst, ell)[0]
                  for ell in range(limit + 1)]
         assert flags == sorted(flags)  # False... then True...

@@ -8,11 +8,10 @@ PUBLIC = [
     "Instance", "LotSizingInstance", "MongeWitness", "OracleResult",
     "Solution", "ValueTable", "brute_force_optimum", "build_value_table",
     "check_monge_adjacent", "check_monge_full", "check_windowed_monge",
-    "demand_met", "find_budget_bound", "find_min_contribution", "is_inf",
-    "lot_sizing_to_cfl", "max_contribution_feasible", "min_cost_assignment",
-    "multi_item_to_cfl", "run_fptas", "run_two_class_fptas",
-    "serve_schedule", "solve_exact", "solve_fptas", "solve_two_class_fptas",
-    "validate_instance",
+    "find_budget_bound", "is_inf", "lot_sizing_to_cfl",
+    "min_cost_assignment", "multi_item_to_cfl", "run_fptas",
+    "run_two_class_fptas", "solve_exact", "solve_fptas",
+    "solve_two_class_fptas", "validate_instance",
 ]
 
 

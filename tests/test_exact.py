@@ -5,26 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import certify_solution
+from conftest import certify_solution, state_instance
 from mongecfl.exact import (DemandCapExceeded, ExactSolver, Solution,
                             solve_exact)
-from mongecfl.generate import random_monge_instance, random_staircase_instance
+from mongecfl.generate import random_lot_sizing, random_monge_instance
 from mongecfl.kernel import FULL, shared
 from mongecfl.model import Client, Facility, Instance, is_inf
 from mongecfl.oracle import brute_force_optimum
+from mongecfl.reductions import lot_sizing_to_cfl
 
 
 def test_dp_value_examples(ref1):
-    assert is_inf(ExactSolver(ref1).value(3, 1, 2))   # past the last facility
-    assert ExactSolver(ref1).value(2, 1, 2) == 19     # open facility 2, u=5
-    assert ExactSolver(ref1).value(1, 1, 2) == 11
-
-
-def test_dp_value_base_cases(ref1):
-    assert ExactSolver(ref1).value(1, 3, 0) == 0      # no clients left
-    assert ExactSolver(ref1).value(3, 2, 0) == 0      # nothing left to serve
-    # demand left past the last facility is infeasible
-    assert is_inf(ExactSolver(ref1).value(3, 2, 3))
+    # facility 2 alone serves all 5 units: 10 + 3 * 2 + 1 * 3
+    assert solve_exact(state_instance(ref1, 2, 1, 2)).total_cost == 19
+    assert solve_exact(state_instance(ref1, 1, 1, 2)).total_cost == 11
+    # client 2 alone: facility 1 at 3 + 2 * 3 beats facility 2 at 10 + 3
+    assert solve_exact(state_instance(ref1, 1, 2, 3)).total_cost == 9
 
 
 def test_solve_ref1(ref1):
@@ -82,7 +78,7 @@ def test_random_against_oracle_small():
 def test_staircase_against_oracle_small():
     rng = random.Random(6021)
     for _ in range(20):
-        inst = random_staircase_instance(rng, rng.randint(1, 6))
+        inst = lot_sizing_to_cfl(random_lot_sizing(rng, rng.randint(1, 6)))
         solution = solve_exact(inst)
         assert solution.total_cost == brute_force_optimum(inst).optimum
         if not is_inf(solution.total_cost):

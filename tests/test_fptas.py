@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import certify_solution, exact_value_function, grid_points
-from mongecfl.fptas import (BudgetGrid, build_value_table,
-                            contribution_search_limit, find_budget_bound,
+from mongecfl.fptas import (BudgetGrid, build_value_table, find_budget_bound,
                             find_min_contribution, max_contribution_feasible,
-                            run_fptas, solve_fptas)
+                            run_fptas, serve_everything_costs, solve_fptas)
 from mongecfl.generate import random_monge_instance
 from mongecfl.model import Client, Facility, Infeasible, Instance
 from mongecfl.oracle import brute_force_optimum
@@ -55,7 +54,8 @@ def test_max_contribution_examples(ref1):
     assert feasible
     assert values[2] == 1 and values[1] == 5
     # the search range's upper end is feasible for feasible instances
-    assert max_contribution_feasible(ref1, contribution_search_limit(ref1))[0]
+    limit = max(serve_everything_costs(ref1))
+    assert max_contribution_feasible(ref1, limit)[0]
 
 
 def test_find_budget_bound_ref1(ref1):
@@ -77,7 +77,7 @@ def test_find_budget_bound_infeasible():
 
 def test_feasibility_monotone_in_ell(ref1):
     flags = [max_contribution_feasible(ref1, ell)[0]
-             for ell in range(contribution_search_limit(ref1) + 1)]
+             for ell in range(max(serve_everything_costs(ref1)) + 1)]
     assert flags == sorted(flags)
 
 

@@ -11,12 +11,12 @@ import random
 
 import pytest
 
-from conftest import ReferenceExactSolver, reference_check_monge_full
+from conftest import (ReferenceExactSolver, reference_check_monge_full,
+                      state_instance)
 from mongecfl import exact
 from mongecfl.exact import ExactSolver
 from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
-                               random_monge_instance,
-                               random_staircase_instance)
+                               random_monge_instance)
 from mongecfl.model import (INF, Client, Facility, Instance, check_monge_full,
                             is_inf)
 from mongecfl.reductions import lot_sizing_to_cfl
@@ -70,7 +70,7 @@ def test_staircase_instances():
     rng = random.Random(406)
     infeasible = 0
     for _ in range(100):
-        inst = random_staircase_instance(rng, rng.randint(1, 8))
+        inst = lot_sizing_to_cfl(random_lot_sizing(rng, rng.randint(1, 8)))
         infeasible += is_inf(assert_same_solution(inst).total_cost)
     assert infeasible > 5
 
@@ -95,12 +95,12 @@ def test_value_on_every_state():
             inst = random_instance(rng, m, n, costs, max_demand=4,
                                    max_capacity=6)
         reference = ReferenceExactSolver(inst)
-        solver = ExactSolver(inst)
-        for i in range(1, inst.m + 2):
+        for i in range(1, inst.m + 1):
             for j in range(1, inst.n + 1):
-                for d in range(inst.demand(j) + 1):
-                    assert solver.value(i, j, d) == reference.value(i, j, d)
-            assert solver.value(i, inst.n + 1, 0) == 0
+                for d in range(1, inst.demand(j) + 1):
+                    sub = state_instance(inst, i, j, d)
+                    assert (exact.solve_exact(sub).total_cost
+                            == reference.value(i, j, d))
 
 
 def test_600_facilities():
