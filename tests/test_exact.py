@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import certify_solution, state_instance
-from mongecfl.exact import (DemandCapExceeded, ExactSolver, Solution,
-                            solve_exact)
+from mongecfl.exact import DemandCapExceeded, Solution, solve_exact
 from mongecfl.generate import random_lot_sizing, random_monge_instance
 from mongecfl.kernel import FULL, shared
 from mongecfl.model import Client, Facility, Instance, is_inf

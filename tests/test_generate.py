@@ -52,7 +52,8 @@ def test_draws_match_pinned_digest():
 
 
 class CountingRandom(random.Random):
-    """A Random that fails the test instead of drawing forever."""
+    """A Random that fails the test instead of drawing forever.  Every
+    randint and randrange draw goes through getrandbits."""
 
     LIMIT = 10**4
 
@@ -65,24 +66,21 @@ class CountingRandom(random.Random):
         if self.draws > self.LIMIT:
             raise AssertionError(f"more than {self.LIMIT} draws")
 
-    def random(self):
-        self._count()
-        return super().random()
-
     def getrandbits(self, k):
         self._count()
         return super().getrandbits(k)
 
 
-def _windows(generator, n, **kwargs):
+def _two_facilities(generator, n, **kwargs):
+    """Draws with 2 facilities of capacity at most 2 and n clients."""
     return lambda rng: generator(rng, 2, n, max_capacity=2, **kwargs)
 
 
 # m * max_capacity = 4 units of capacity for 5 clients of demand >= 1
 @pytest.mark.parametrize("draw", [
-    _windows(random_monge_instance, 5, feasible=True),
-    _windows(random_windowed_instance, 5, feasible=True),
-    _windows(random_two_class_instance, 5, feasible=True),
+    _two_facilities(random_monge_instance, 5, feasible=True),
+    _two_facilities(random_windowed_instance, 5, feasible=True),
+    _two_facilities(random_two_class_instance, 5, feasible=True),
     lambda rng: random_lot_sizing(rng, 4, max_demand=0),
     lambda rng: random_lot_sizing(rng, 4, max_demand=0, feasible=True),
     lambda rng: random_lot_sizing(rng, 4, max_capacity=0, feasible=True),
@@ -97,12 +95,12 @@ def test_no_possible_draw_is_rejected(draw):
 
 # the same bounds where a draw exists still return one
 @pytest.mark.parametrize("draw", [
-    _windows(random_monge_instance, 5),
-    _windows(random_windowed_instance, 5),
-    _windows(random_two_class_instance, 5),
-    _windows(random_monge_instance, 4, max_demand=1, feasible=True),
-    _windows(random_windowed_instance, 4, max_demand=1, feasible=True),
-    _windows(random_two_class_instance, 4, max_demand=1, feasible=True),
+    _two_facilities(random_monge_instance, 5),
+    _two_facilities(random_windowed_instance, 5),
+    _two_facilities(random_two_class_instance, 5),
+    _two_facilities(random_monge_instance, 4, max_demand=1, feasible=True),
+    _two_facilities(random_windowed_instance, 4, max_demand=1, feasible=True),
+    _two_facilities(random_two_class_instance, 4, max_demand=1, feasible=True),
     lambda rng: random_lot_sizing(rng, 4, max_capacity=0),
     lambda rng: random_lot_sizing(rng, 4, max_demand=1, max_capacity=1,
                                   feasible=True),
