@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 input error (or an output file that cannot
-be written), 2 infeasible instance, 3 Monge violation.  Reports go to
-standard output as JSON; solution and instance files are written where
-the flags say.
+Exit codes: 0 success, 1 input error (a usage error, or an output file
+that cannot be written), 2 infeasible instance, 3 Monge violation.
+Commands raise on failure and ``main`` alone turns the failure into its
+exit code.  Reports go to standard output as JSON; solution and instance
+files are written where the flags say.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import random
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
 from . import io as mio
-from .exact import DemandCapExceeded, solve_exact
+from .exact import DEFAULT_DEMAND_CAP, solve_exact
 from .extensions import ClientPartition, check_windowed_monge, run_two_class_fptas
 from .fptas import run_fptas
 from .generate import (random_lot_sizing, random_monge_instance,
@@ -54,6 +56,27 @@ class RunReport:
     ratio: Optional[str] = None
 
 
+class _NotMonge(Exception):
+    """Costs that break the Monge property; the one argument is the
+    ``MongeWitness`` or ``WindowViolation`` the checker returned."""
+
+
+def _require_monge(costs) -> None:
+    witness = check_monge_full(costs)
+    if witness is not None:
+        raise _NotMonge(witness)
+
+
+@contextmanager
+def _context(prefix: str):
+    """Re-raise a read failure as one ValueError that starts with
+    ``prefix``."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"{prefix}: {exc}") from None
+
+
 def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
@@ -64,11 +87,6 @@ def _ratio(cost, optimum) -> Optional[str]:
     if optimum == 0:
         return "1" if cost == 0 else None
     return str(Fraction(cost) / Fraction(optimum))
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 def _epsilon(text: str) -> Fraction:
@@ -92,134 +110,109 @@ def _load(path: str) -> Instance:
     return inst
 
 
-def cmd_solve(args) -> int:
-    try:
-        inst = _load(args.input)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(f"cannot read instance: {exc}", EXIT_INPUT)
-    if args.algorithm in ("fptas", "two-class") and args.epsilon is None:
-        return _fail("--epsilon is required for this algorithm", EXIT_INPUT)
-    try:
-        eps = None if args.epsilon is None else _epsilon(args.epsilon)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    partition = ClientPartition(range(1, inst.n + 1), ())
-    if args.algorithm == "two-class" and args.partition:
-        try:
-            partition = mio.load_partition(args.partition)
-        except (OSError, ValueError, KeyError) as exc:
-            return _fail(f"cannot read partition: {exc}", EXIT_INPUT)
-
-    report = RunReport(algorithm=args.algorithm, instance=_digest(args.input),
-                       cost="inf")
+def _run_solver(inst: Instance, algorithm: str, eps=None, partition=None):
+    """Run one solver: (solution, or None when infeasible, and the report
+    fields cost and wall_ms, plus bound and grid for the grid solvers)."""
+    fields = {}
     start = time.perf_counter()
     try:
-        if args.algorithm == "exact":
+        if algorithm == "exact":
             solution = solve_exact(inst)
-            if is_inf(solution.total_cost):
-                print(json.dumps(asdict(report)))
-                return EXIT_INFEASIBLE
         else:
-            result = (run_fptas(inst, eps) if args.algorithm == "fptas"
+            result = (run_fptas(inst, eps) if algorithm == "fptas"
                       else run_two_class_fptas(inst, partition, eps))
             solution = result.solution
-            report.epsilon = args.epsilon
-            report.bound = result.bound
-            report.grid_step = result.grid.K
-            report.grid_size = result.grid.size
-            report.grid_budget = result.grid_budget
+            fields = dict(bound=result.bound, grid_step=result.grid.K,
+                          grid_size=result.grid.size,
+                          grid_budget=result.grid_budget)
     except Infeasible:
-        print(json.dumps(asdict(report)))
-        return EXIT_INFEASIBLE
-    except (ValueError, KeyError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    report.wall_ms = round((time.perf_counter() - start) * 1000, 3)
-    report.cost = str(Fraction(solution.total_cost))
+        solution = None
+    fields["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
+    if solution is None or is_inf(solution.total_cost):
+        return None, dict(fields, cost="inf")
+    return solution, dict(fields, cost=str(Fraction(solution.total_cost)))
 
+
+def cmd_solve(args) -> int:
+    with _context("cannot read instance"):
+        inst = _load(args.input)
+    if args.algorithm != "exact" and args.epsilon is None:
+        raise ValueError("--epsilon is required for this algorithm")
+    eps = None if args.epsilon is None else _epsilon(args.epsilon)
+    partition = ClientPartition(range(1, inst.n + 1), ())
+    if args.algorithm == "two-class" and args.partition:
+        with _context("cannot read partition"):
+            partition = mio.load_partition(args.partition)
+    else:  # the exact DP and the scalar grid need Monge costs
+        _require_monge(inst.costs)
+
+    digest = _digest(args.input)
+    solution, fields = _run_solver(inst, args.algorithm, eps, partition)
+    if solution is None:
+        print(json.dumps(asdict(RunReport(args.algorithm, digest, "inf"))))
+        return EXIT_INFEASIBLE
+    report = RunReport(args.algorithm, digest, epsilon=None
+                       if args.algorithm == "exact" else args.epsilon, **fields)
     if args.verify_with_oracle:
-        try:
-            oracle = brute_force_optimum(inst)
-        except ValueError as exc:
-            return _fail(f"cannot verify with the oracle: {exc}", EXIT_INPUT)
-        report.oracle_cost = str(Fraction(oracle.optimum))
-        report.ratio = _ratio(solution.total_cost, oracle.optimum)
+        with _context("cannot verify with the oracle"):
+            optimum = brute_force_optimum(inst).optimum
+        report.oracle_cost = str(Fraction(optimum))
+        report.ratio = _ratio(solution.total_cost, optimum)
     if args.output:
         mio.save_solution(solution, args.output)
     print(json.dumps(asdict(report)))
     return EXIT_OK
 
 
-def _print_witness(witness) -> None:
-    if isinstance(witness, MongeWitness):
-        print(f"violation at facilities ({witness.h},{witness.i}) "
-              f"clients ({witness.j},{witness.k}): "
-              f"{witness.lhs} > {witness.rhs}")
-    else:
-        print(f"violation: {witness}")
-
-
 def cmd_check(args) -> int:
-    try:
+    with _context("cannot read instance"):
         inst = _load(args.input)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(f"cannot read instance: {exc}", EXIT_INPUT)
-    try:
-        if args.mode == "full":
-            witness = check_monge_full(inst.costs)
-        elif args.mode == "adjacent":
-            witness = check_monge_adjacent(inst.costs)
-        else:
-            witness = check_windowed_monge(inst)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    if witness is None:
-        print("pass")
-        return EXIT_OK
-    _print_witness(witness)
-    return EXIT_NOT_MONGE
+    if args.mode == "full":
+        witness = check_monge_full(inst.costs)
+    elif args.mode == "adjacent":
+        witness = check_monge_adjacent(inst.costs)
+    else:
+        witness = check_windowed_monge(inst)
+    if witness is not None:
+        raise _NotMonge(witness)
+    print("pass")
+    return EXIT_OK
 
 
 def _save_monge_instance(inst: Instance, path: str) -> int:
-    """Write ``inst`` to ``path`` if its costs are Monge; otherwise
-    print the witness and write nothing."""
-    witness = check_monge_full(inst.costs)
-    if witness is not None:
-        _print_witness(witness)
-        return EXIT_NOT_MONGE
+    """Write ``inst`` to ``path`` if its costs are Monge; raise
+    ``_NotMonge`` and write nothing otherwise."""
+    _require_monge(inst.costs)
     mio.save_instance(inst, path)
     print(f"wrote {inst.m}x{inst.n} instance to {path}")
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    try:
+    with _context("conversion failed"):
         if args.source == "single-demand":
             inst = _load(args.input)
-            if inst.n != 1:
-                return _fail("single-demand conversion needs exactly one "
-                             "client", EXIT_INPUT)
         else:
             ls = mio.load_lot_sizing(args.input)
-            if args.source == "lot-sizing":
-                inst = lot_sizing_to_cfl(ls)
-            else:
-                inst = multi_item_to_cfl(ls)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(f"conversion failed: {exc}", EXIT_INPUT)
-    code = _save_monge_instance(inst, args.output)
-    if code == EXIT_NOT_MONGE:
+            inst = (lot_sizing_to_cfl(ls) if args.source == "lot-sizing"
+                    else multi_item_to_cfl(ls))
+    if args.source == "single-demand" and inst.n != 1:
+        raise ValueError("single-demand conversion needs exactly one client")
+    try:
+        return _save_monge_instance(inst, args.output)
+    except _NotMonge:
         print("internal error: reduction produced a non-Monge matrix",
               file=sys.stderr)
-    return code
+        raise
 
 
 def cmd_generate(args) -> int:
     if args.m < 1 or args.n < 1:
-        return _fail("--m and --n must be positive", EXIT_INPUT)
+        raise ValueError("--m and --n must be positive")
     if args.max_demand < 1:
-        return _fail("--max-demand must be positive", EXIT_INPUT)
+        raise ValueError("--max-demand must be positive")
     if args.max_cost < 0:
-        return _fail("--max-cost must be nonnegative", EXIT_INPUT)
+        raise ValueError("--max-cost must be nonnegative")
     rng = random.Random(args.seed)
     if args.kind == "monge":
         inst = random_monge_instance(rng, args.m, args.n,
@@ -239,18 +232,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        epsilons = [(e, _epsilon(e)) for e in args.epsilons.split(",") if e]
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    paths = sorted(glob.glob(args.suite))
+    epsilons = [(e, _epsilon(e)) for e in args.epsilons.split(",") if e]
+    exact_max_demand = min(args.exact_max_demand, DEFAULT_DEMAND_CAP)
     rows: List[dict] = []
     fieldnames = ["instance", "m", "n", "total_demand", "algorithm",
                   "epsilon", "cost", "oracle_cost", "ratio", "wall_ms"]
-    for path in paths:
+    for path in sorted(glob.glob(args.suite)):
         try:
             inst = _load(path)
-        except (OSError, ValueError, KeyError):
+            _require_monge(inst.costs)
+        except (OSError, ValueError, KeyError, _NotMonge):
             rows.append({"instance": path, "algorithm": "error"})
             continue
         oracle_cost = None
@@ -261,42 +252,25 @@ def cmd_bench(args) -> int:
                 pass
         base = {"instance": path, "m": inst.m, "n": inst.n,
                 "total_demand": inst.total_demand}
-
-        def record(algorithm, epsilon, cost, wall):
-            row = dict(base, algorithm=algorithm, epsilon=epsilon,
-                       cost=str(Fraction(cost)) if not is_inf(cost) else "inf",
-                       wall_ms=round(wall * 1000, 3))
-            if oracle_cost is not None and not is_inf(oracle_cost) \
-                    and not is_inf(cost):
-                row["oracle_cost"] = str(Fraction(oracle_cost))
-                row["ratio"] = _ratio(cost, oracle_cost)
-            rows.append(row)
-
-        solution = None
-        if inst.total_demand <= args.exact_max_demand:
-            start = time.perf_counter()
-            try:
-                solution = solve_exact(inst)
-            except DemandCapExceeded:  # the exact DP's own cap is lower
-                pass
-        if solution is None:
-            rows.append(dict(base, algorithm="exact", cost="skipped"))
+        runs = [("fptas", text, eps) for text, eps in epsilons]
+        if inst.total_demand <= exact_max_demand:
+            runs.insert(0, ("exact", None, None))
         else:
-            record("exact", None, solution.total_cost,
-                   time.perf_counter() - start)
-        for text, eps in epsilons:
-            start = time.perf_counter()
-            try:
-                cost = run_fptas(inst, eps).solution.total_cost
-            except Infeasible:
-                cost = float("inf")
-            record("fptas", text, cost, time.perf_counter() - start)
+            rows.append(dict(base, algorithm="exact", cost="skipped"))
+        for algorithm, text, eps in runs:
+            solution, fields = _run_solver(inst, algorithm, eps)
+            row = dict(base, algorithm=algorithm, epsilon=text,
+                       cost=fields["cost"], wall_ms=fields["wall_ms"])
+            if solution is not None and oracle_cost is not None \
+                    and not is_inf(oracle_cost):
+                row["oracle_cost"] = str(Fraction(oracle_cost))
+                row["ratio"] = _ratio(solution.total_cost, oracle_cost)
+            rows.append(row)
     with open(args.csv, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-    times = [r["wall_ms"] for r in rows
-             if r.get("algorithm") == "fptas" and "wall_ms" in r]
+    times = [r["wall_ms"] for r in rows if r["algorithm"] == "fptas"]
     if times:
         print(f"{len(rows)} rows, median fptas wall {statistics.median(times)} ms")
     else:
@@ -304,8 +278,16 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so ``main`` reports them like any input error;
+    sub-parsers are built from this class too."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mongecfl",
         description="Capacitated facility location with Monge transport "
                     "costs: exact DP, FPTAS, reductions, checkers.")
@@ -357,13 +339,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
-    except OSError as exc:  # commands catch their reads, so a write
-        return _fail(str(exc), EXIT_INPUT)
+    except _NotMonge as exc:
+        witness = exc.args[0]
+        if isinstance(witness, MongeWitness):
+            print(f"violation at facilities ({witness.h},{witness.i}) "
+                  f"clients ({witness.j},{witness.k}): "
+                  f"{witness.lhs} > {witness.rhs}")
+        else:
+            print(f"violation: {witness}")
+        return EXIT_NOT_MONGE
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -129,8 +129,8 @@ def _window_instance(rng: random.Random, releases: List[int],
                                rng.randint(1, max_capacity))
                       for _ in range(m)]
         inst = Instance(facilities, clients, costs)
-        if not feasible or not is_inf(
-                min_cost_assignment(inst, range(1, m + 1))[0]):
+        if not feasible or not is_inf(min_cost_assignment(
+                inst, range(1, m + 1), demand_cap=inst.total_demand)[0]):
             return inst
     return None
 

@@ -664,3 +664,170 @@ def test_malformed_json_never_tracebacks(tmp_path, capsys, data):
     assert "Traceback" not in err
     assert err == "" or one_line_error(err) or err.startswith(
         "internal error"), err
+
+
+# Failure output: the exact lines and files each failure leaves.
+
+NON_MONGE_WITNESS = "violation at facilities (1,2) clients (1,2): 4 > 2\n"
+
+
+def non_monge_instance():
+    """Monge fails at (1,2),(1,2): 2 + 2 > 1 + 1.  Both solvers answer 4
+    on it, while the optimum serves each client at cost 1."""
+    return Instance([Facility(0, 1), Facility(0, 1)],
+                    [Client(1), Client(1)], [[2, 1], [1, 2]])
+
+
+def test_convert_non_monge_reduction_is_an_internal_error(tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "lot_sizing_to_cfl",
+                        lambda ls: non_monge_instance())
+    out_path = tmp_path / "inst.json"
+    code, out, err = run(capsys, "convert", "--from", "lot-sizing",
+                         "--input", write_lot_sizing(tmp_path),
+                         "--output", str(out_path))
+    assert code == 3 and out == NON_MONGE_WITNESS
+    assert err == "internal error: reduction produced a non-Monge matrix\n"
+    assert not out_path.exists()
+
+
+def test_check_windowed_violation(tmp_path, capsys):
+    inst = Instance([Facility(1, 5), Facility(1, 5)],
+                    [Client(2, 1, 2), Client(3, 2, 2)], [[1, 1], [1, 1]])
+    path = tmp_path / "win.json"
+    mio.save_instance(inst, path)
+    code, out, err = run(capsys, "check", "--input", str(path),
+                         "--mode", "windowed")
+    assert code == 3 and err == ""
+    assert out == ("violation: WindowViolation(i=1, j=2, "
+                   "reason='finite cost outside the window')\n")
+
+
+def test_bench_rows_pinned(tmp_path, capsys):
+    """Every column but the wall_ms values, over a Monge, an infeasible,
+    a windowed and an unreadable file; infeasible rows keep a wall_ms."""
+    suite = {"a_ref1.json": Instance([Facility(3, 5), Facility(10, 5)],
+                                     [Client(2), Client(3)], [[1, 2], [3, 1]]),
+             "b_infeasible.json": Instance([Facility(1, 2)], [Client(5)],
+                                           [[1]]),
+             "c_windowed.json": Instance([Facility(1, 5), Facility(1, 5)],
+                                         [Client(2, 1, 2), Client(3, 2, 2)],
+                                         [[1, INF], [1, 1]])}
+    for name, inst in suite.items():
+        mio.save_instance(inst, tmp_path / name)
+    (tmp_path / "d_broken.json").write_text("{nope")
+    csv_path = tmp_path / "report.csv"
+    code, out, err = run(capsys, "bench", "--suite", str(tmp_path / "*.json"),
+                         "--epsilons", "1,1/2", "--csv", str(csv_path))
+    assert code == 0 and err == "" and out.startswith("10 rows, ")
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert all((row["wall_ms"] != "") == (row["algorithm"] != "error")
+               for row in rows)
+    pinned = [[Path(row.pop("instance")).name, *row.values()][:-1]
+              for row in rows]
+    assert pinned == [
+        ["a_ref1.json", "2", "2", "5", "exact", "", "11", "11", "1"],
+        ["a_ref1.json", "2", "2", "5", "fptas", "1", "11", "11", "1"],
+        ["a_ref1.json", "2", "2", "5", "fptas", "1/2", "11", "11", "1"],
+        ["b_infeasible.json", "1", "1", "5", "exact", "", "inf", "", ""],
+        ["b_infeasible.json", "1", "1", "5", "fptas", "1", "inf", "", ""],
+        ["b_infeasible.json", "1", "1", "5", "fptas", "1/2", "inf", "", ""],
+        ["c_windowed.json", "2", "2", "5", "exact", "", "6", "6", "1"],
+        ["c_windowed.json", "2", "2", "5", "fptas", "1", "6", "6", "1"],
+        ["c_windowed.json", "2", "2", "5", "fptas", "1/2", "6", "6", "1"],
+        ["d_broken.json", "", "", "", "error", "", "", "", ""]]
+
+
+def write_non_monge(tmp_path):
+    path = tmp_path / "non_monge.json"
+    mio.save_instance(non_monge_instance(), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("extra", [
+    [], ["--algorithm", "fptas", "--epsilon", "1/10"],
+    ["--algorithm", "two-class", "--epsilon", "1/10"],
+], ids=["exact", "fptas", "two-class-without-partition"])
+def test_solve_refuses_non_monge_costs(tmp_path, capsys, extra):
+    out_path = tmp_path / "sol.json"
+    code, out, err = run(capsys, "solve", "--input", write_non_monge(tmp_path),
+                         "--output", str(out_path), *extra)
+    assert code == 3 and out == NON_MONGE_WITNESS and err == ""
+    assert not out_path.exists()
+
+
+def test_bench_non_monge_file_is_an_error_row(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+    for name in ("solve_exact", "run_fptas", "brute_force_optimum"):
+        monkeypatch.setattr(cli, name, no_solve)
+    path = write_non_monge(tmp_path)
+    csv_path = tmp_path / "report.csv"
+    code, out, err = run(capsys, "bench", "--suite", path, "--csv",
+                         str(csv_path))
+    assert code == 0 and out == "1 rows\n" and err == ""
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [{k: v for k, v in row.items() if v} for row in rows] == [
+        {"instance": path, "algorithm": "error"}]
+
+
+# Usage errors take the same path as every other input error.
+
+@pytest.mark.parametrize("argv", [
+    [], ["solve"], ["generate", "--m", "x", "--n", "1", "--output", "{out}"],
+    ["check", "--mode", "bogus", "--input", "{out}"],
+], ids=["no-command", "solve-without-input", "generate-bad-int",
+        "check-bad-choice"])
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    argv = [arg.format(out=tmp_path / "x.json") for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and one_line_error(err)
+    assert err.startswith(" ".join(["error: mongecfl", *argv[:1]]) + ": ")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["solve", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: mongecfl" in capsys.readouterr().out
+
+
+_FLAGS = {
+    "solve": ["--input", "--algorithm", "--epsilon", "--partition",
+              "--output", "--verify-with-oracle"],
+    "check": ["--input", "--mode"],
+    "convert": ["--from", "--input", "--output"],
+    "generate": ["--kind", "--m", "--n", "--max-cost", "--max-demand",
+                 "--seed", "--output"],
+    "bench": ["--suite", "--epsilons", "--oracle-max-m", "--exact-max-demand",
+              "--csv"],
+}
+_FILES = ("ref1.json", "ls.json", "part.json", "*.json", "missing/x.json")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_argv_gets_a_documented_exit_code(tmp_path, capsys, data):
+    """A subcommand and up to four tokens from its flags, numbers and
+    paths inside ``tmp_path``: never a SystemExit, always 0-3 and at
+    most one line on stderr."""
+    command = data.draw(st.sampled_from(sorted(_FLAGS)))
+    vocabulary = (_FLAGS[command] + ["x", "-1", "0", "1", "1/0"]
+                  + [str(tmp_path / name) for name in _FILES])
+    argv = [command, *data.draw(st.lists(st.sampled_from(vocabulary),
+                                         max_size=4))]
+    write_ref1(tmp_path)
+    write_lot_sizing(tmp_path)
+    (tmp_path / "part.json").write_text(json.dumps({"s1": [1], "s2": [2]}))
+    try:
+        code, _, err = run(capsys, *argv)
+    except SystemExit as exc:
+        pytest.fail(f"SystemExit({exc.code}) on {argv}")
+    assert code in (0, 1, 2, 3), argv
+    assert err == "" or one_line_error(err) or err == (
+        "internal error: reduction produced a non-Monge matrix\n"), (argv, err)

@@ -8,6 +8,8 @@ import pytest
 from mongecfl.generate import (random_lot_sizing, random_monge_instance,
                                random_two_class_instance,
                                random_windowed_instance)
+from mongecfl.model import is_inf
+from mongecfl.oracle import min_cost_assignment
 
 # sha256 of ``_pinned_draws()``.  The benchmark's fixed instance sets
 # and every seeded test depend on these draws, so a change to a
@@ -108,3 +110,18 @@ def test_no_possible_draw_is_rejected(draw):
 def test_possible_draw_returns(draw):
     for seed in range(5):
         draw(CountingRandom(seed))
+
+
+def test_feasible_window_draws_over_the_oracle_demand_cap():
+    """Feasibility is one flow over the draw's own demand, which may
+    exceed the brute-force oracle's default cap of 200 units."""
+    windowed = random_windowed_instance(random.Random(0), 10, 80,
+                                        max_capacity=100, feasible=True)
+    two_class, _, _ = random_two_class_instance(
+        random.Random(0), 10, 80, max_capacity=100, max_demand=6,
+        feasible=True)
+    for inst, total in ((windowed, 286), (two_class, 277)):
+        assert inst.total_demand == total
+        cost, _ = min_cost_assignment(inst, range(1, inst.m + 1),
+                                      demand_cap=total)
+        assert not is_inf(cost)
