@@ -69,7 +69,8 @@ from .exact import Solution
 from .fptas import (BudgetGrid, Rational, find_budget_bound,
                     serve_everything_costs)
 from .kernel import ServeCurve, cost_lcm
-from .model import Infeasible, Instance, MongeWitness, check_monge_full, is_inf
+from .model import (Infeasible, Instance, MongeWitness, check_monge_full,
+                    is_inf, require_int)
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,9 @@ class ClientPartition:
     s2: Tuple[int, ...]
 
     def __init__(self, s1, s2):
-        object.__setattr__(self, "s1", tuple(s1))
-        object.__setattr__(self, "s2", tuple(s2))
+        for field, clients in (("s1", tuple(s1)), ("s2", tuple(s2))):
+            require_int(f"each {field} entry", *clients)
+            object.__setattr__(self, field, clients)
 
     def validate(self, inst: Instance) -> None:
         if sorted(self.s1 + self.s2) != list(range(1, inst.n + 1)):

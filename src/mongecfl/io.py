@@ -3,6 +3,9 @@
 Indices are implicit (1-based by list position).  Infinite costs are
 the string "inf"; rationals serialize as strings "p/q" (plain "p" for
 integers) so values cross the file boundary exactly.
+
+Only JSON shapes (objects, lists) are checked here; the model types
+refuse non-integer numbers, naming the field.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
 
 from .exact import Solution
 from .extensions import ClientPartition
@@ -18,103 +20,67 @@ from .model import INF, Client, Facility, Instance, is_inf
 from .reductions import LotSizingInstance
 
 
-def _cost_to_json(c) -> Union[int, str]:
-    return "inf" if is_inf(c) else int(c)
+def _read_json(path):
+    return json.loads(Path(path).read_text("utf-8"))
 
 
-def _is_json_int(v) -> bool:
-    """JSON integers only: ``true``/``false`` load as bool, an int subclass."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def _write_json(data, path) -> None:
+    Path(path).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
 
-def _cost_from_json(v):
-    if v == "inf":
-        return INF
-    if _is_json_int(v):
+def _shaped(v, shape: type, what: str):
+    """``v`` if it is a JSON object (shape dict) or list (shape list)."""
+    if isinstance(v, shape):
         return v
-    raise ValueError(f"cost entries must be integers or \"inf\", got {v!r}")
-
-
-def _int_from_json(v, what: str) -> int:
-    if _is_json_int(v):
-        return v
-    raise ValueError(f"{what} must be an integer, got {v!r}")
-
-
-def _optional_int_from_json(v, what: str):
-    return None if v is None else _int_from_json(v, what)
-
-
-def _object_from_json(v, what: str) -> dict:
-    if isinstance(v, dict):
-        return v
-    raise ValueError(f"{what} must be an object, got {type(v).__name__}")
-
-
-def _list_from_json(v, what: str) -> list:
-    if isinstance(v, list):
-        return v
-    raise ValueError(f"{what} must be a list, got {type(v).__name__}")
+    name = "an object" if shape is dict else "a list"
+    raise ValueError(f"{what} must be {name}, got {type(v).__name__}")
 
 
 def _objects_from_json(data: dict, field: str) -> list:
     """data[field] as a list of objects."""
-    return [_object_from_json(v, f"each {field} entry")
-            for v in _list_from_json(data[field], field)]
+    return [_shaped(v, dict, f"each {field} entry")
+            for v in _shaped(data[field], list, field)]
 
 
 def instance_to_dict(inst: Instance) -> dict:
     facilities = [{"open_cost": f.open_cost, "capacity": f.capacity}
                   for f in inst.facilities]
-    clients = []
-    for c in inst.clients:
-        entry: dict = {"demand": c.demand}
-        if c.release is not None:
-            entry["release"] = c.release
-        if c.deadline is not None:
-            entry["deadline"] = c.deadline
-        clients.append(entry)
-    costs = [[_cost_to_json(c) for c in row] for row in inst.costs]
+    clients = [{field: getattr(c, field)
+                for field in ("demand", "release", "deadline")
+                if getattr(c, field) is not None}
+               for c in inst.clients]
+    costs = [["inf" if is_inf(c) else c for c in row] for row in inst.costs]
     return {"facilities": facilities, "clients": clients, "costs": costs}
 
 
 def instance_from_dict(data: dict) -> Instance:
-    data = _object_from_json(data, "an instance")
-    facilities = [Facility(_int_from_json(f["open_cost"], "open_cost"),
-                           _int_from_json(f["capacity"], "capacity"))
+    data = _shaped(data, dict, "an instance")
+    facilities = [Facility(f["open_cost"], f["capacity"])
                   for f in _objects_from_json(data, "facilities")]
-    clients = [Client(_int_from_json(c["demand"], "demand"),
-                      _optional_int_from_json(c.get("release"), "release"),
-                      _optional_int_from_json(c.get("deadline"), "deadline"))
+    clients = [Client(c["demand"], c.get("release"), c.get("deadline"))
                for c in _objects_from_json(data, "clients")]
-    costs = [[_cost_from_json(v)
-              for v in _list_from_json(row, "each costs row")]
-             for row in _list_from_json(data["costs"], "costs")]
+    costs = [[INF if v == "inf" else v
+              for v in _shaped(row, list, "each costs row")]
+             for row in _shaped(data["costs"], list, "costs")]
     return Instance(facilities, clients, costs)
 
 
 def save_instance(inst: Instance, path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst), indent=1) + "\n",
-                          encoding="utf-8")
+    _write_json(instance_to_dict(inst), path)
 
 
 def load_instance(path) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text("utf-8")))
+    return instance_from_dict(_read_json(path))
 
 
 def lot_sizing_from_dict(data: dict) -> LotSizingInstance:
-    data = _object_from_json(data, "a lot-sizing instance")
-    orders = [(_int_from_json(o["cost"], "cost"),
-               _int_from_json(o["capacity"], "capacity"))
+    data = _shaped(data, dict, "a lot-sizing instance")
+    orders = [(o["cost"], o["capacity"])
               for o in _objects_from_json(data, "orders")]
-    demands = [(_int_from_json(d["period"], "period"),
-                _int_from_json(d.get("item", 0), "item"),
-                _int_from_json(d["amount"], "amount"))
+    demands = [(d["period"], d.get("item", 0), d["amount"])
                for d in _objects_from_json(data, "demands")]
-    holding = [_int_from_json(h, "holding")
-               for h in _list_from_json(data["holding"], "holding")]
-    return LotSizingInstance(_int_from_json(data["horizon"], "horizon"),
-                             orders, demands, holding)
+    return LotSizingInstance(data["horizon"], orders, demands,
+                             _shaped(data["holding"], list, "holding"))
 
 
 def lot_sizing_to_dict(ls: LotSizingInstance) -> dict:
@@ -128,21 +94,18 @@ def lot_sizing_to_dict(ls: LotSizingInstance) -> dict:
 
 
 def load_lot_sizing(path) -> LotSizingInstance:
-    return lot_sizing_from_dict(json.loads(Path(path).read_text("utf-8")))
+    return lot_sizing_from_dict(_read_json(path))
 
 
 def save_lot_sizing(ls: LotSizingInstance, path) -> None:
-    Path(path).write_text(json.dumps(lot_sizing_to_dict(ls), indent=1) + "\n",
-                          encoding="utf-8")
+    _write_json(lot_sizing_to_dict(ls), path)
 
 
 def load_partition(path) -> ClientPartition:
     """A two-class client partition: an object with integer lists s1, s2."""
-    data = _object_from_json(json.loads(Path(path).read_text("utf-8")),
-                             "a partition")
-    return ClientPartition(*([_int_from_json(j, f"each {field} entry")
-                              for j in _list_from_json(data[field], field)]
-                             for field in ("s1", "s2")))
+    data = _shaped(_read_json(path), dict, "a partition")
+    return ClientPartition(_shaped(data["s1"], list, "s1"),
+                           _shaped(data["s2"], list, "s2"))
 
 
 def _rational_str(x) -> str:
@@ -164,5 +127,4 @@ def solution_to_dict(solution: Solution) -> dict:
 
 
 def save_solution(solution: Solution, path) -> None:
-    Path(path).write_text(json.dumps(solution_to_dict(solution), indent=1)
-                          + "\n", encoding="utf-8")
+    _write_json(solution_to_dict(solution), path)

@@ -1,5 +1,8 @@
 """Problem instances and Monge-property verification.
 
+Every number entering a model type (the classes here, and
+``LotSizingInstance`` and ``ClientPartition``) must pass ``is_int``, or
+a ValueError names its field; ``validate_instance`` reports the ranges.
 Costs are nonnegative integers or INF.  All arithmetic on costs is
 "extended": adding INF to anything yields INF, and INF compares greater
 than every finite value (INF <= INF holds).  Python's ``math.inf``
@@ -28,12 +31,25 @@ def is_inf(c: Cost) -> bool:
     return c == INF
 
 
+def is_int(v) -> bool:
+    """The one integer rule for every input: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def require_int(field: str, *values) -> None:
+    for v in values:
+        if not is_int(v):
+            raise ValueError(f"{field} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Facility:
     open_cost: int   # one-time cost to open
     capacity: int    # units of demand it can absorb
 
     def __post_init__(self):
+        require_int("open_cost", self.open_cost)
+        require_int("capacity", self.capacity)
         if self.open_cost < 0:
             raise ValueError("open_cost must be >= 0")
         if self.capacity < 1:
@@ -45,6 +61,12 @@ class Client:
     demand: int
     release: Optional[int] = None   # first facility index that may serve it
     deadline: Optional[int] = None  # last facility index that may serve it
+
+    def __post_init__(self):
+        require_int("demand", self.demand)
+        for field in ("release", "deadline"):
+            if getattr(self, field) is not None:
+                require_int(field, getattr(self, field))
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +101,13 @@ class Instance:
                  costs: Sequence[Sequence[Cost]]):
         object.__setattr__(self, "facilities", tuple(facilities))
         object.__setattr__(self, "clients", tuple(clients))
-        object.__setattr__(self, "costs", tuple(tuple(row) for row in costs))
+        costs = tuple(tuple(row) for row in costs)
+        for i, row in enumerate(costs, start=1):
+            for j, c in enumerate(row, start=1):
+                if not (is_int(c) or c == INF):
+                    raise ValueError(f"cost ({i},{j}) must be an integer or "
+                                     f"inf, got {c!r}")
+        object.__setattr__(self, "costs", costs)
 
     @property
     def m(self) -> int:
@@ -128,9 +156,7 @@ def validate_instance(inst: Instance) -> List[str]:
         if len(row) != inst.n:
             report.append(f"dimension mismatch: row {i} has {len(row)} entries for {inst.n} clients")
         for j, c in enumerate(row, start=1):
-            if is_inf(c):
-                continue
-            if not isinstance(c, int) or c < 0:
+            if c < 0:
                 report.append(f"cost ({i},{j}): must be a nonnegative integer or inf")
     if not report and inst.total_capacity < inst.total_demand:
         report.append("warning: total capacity below total demand (instance is infeasible)")
@@ -145,13 +171,20 @@ def check_monge_full(costs: Sequence[Sequence[Cost]]) -> Optional[MongeWitness]:
     by one right-to-left pass (``_pair_violated``), and only the first
     violating pair is rescanned quadruple by quadruple for its witness.
     """
-    m = len(costs)
-    n = len(costs[0]) if m else 0
+    m, n = len(costs), _width(costs)
     for h in range(m):
         for i in range(h + 1, m):
             if _pair_violated(costs[h], costs[i], n):
                 return _first_witness(costs, h, i, n)
     return None
+
+
+def _width(costs: Sequence[Sequence[Cost]]) -> int:
+    """The common row length of a cost matrix (0 without rows)."""
+    n = len(costs[0]) if costs else 0
+    if any(len(row) != n for row in costs):
+        raise ValueError("cost rows differ in length")
+    return n
 
 
 def _pair_violated(upper: Sequence[Cost], lower: Sequence[Cost],
@@ -204,12 +237,9 @@ def check_monge_adjacent(costs: Sequence[Sequence[Cost]]) -> Optional[MongeWitne
     with INF entries are rejected: the adjacency reduction is only
     justified for finite entries, callers must use check_monge_full.
     """
-    for row in costs:
-        for c in row:
-            if is_inf(c):
-                raise ValueError("infinite entries unsupported; use check_monge_full")
-    m = len(costs)
-    n = len(costs[0]) if m else 0
+    if any(is_inf(c) for row in costs for c in row):
+        raise ValueError("infinite entries unsupported; use check_monge_full")
+    m, n = len(costs), _width(costs)
     for h in range(m - 1):
         for j in range(n - 1):
             lhs = costs[h][j] + costs[h + 1][j + 1]

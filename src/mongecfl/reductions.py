@@ -13,7 +13,7 @@ from itertools import accumulate
 from typing import List, Tuple
 
 from .kernel import shared
-from .model import INF, Client, Facility, Instance
+from .model import INF, Client, Facility, Instance, require_int
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,19 @@ class LotSizingInstance:
     demands: Tuple[Tuple[int, int, int], ...]
     holding: Tuple[int, ...]
 
-    def __init__(self, horizon: int,
-                 orders,
-                 demands,
-                 holding):
+    def __init__(self, horizon: int, orders, demands, holding):
+        require_int("horizon", horizon)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        orders = tuple((int(c), int(u)) for c, u in orders)
-        demands = tuple((int(t), int(item), int(a)) for t, item, a in demands)
-        holding = tuple(int(h) for h in holding)
+        orders = tuple((c, u) for c, u in orders)
+        demands = tuple((t, item, a) for t, item, a in demands)
+        holding = tuple(holding)
+        require_int("order cost", *(c for c, _ in orders))
+        require_int("order capacity", *(u for _, u in orders))
+        require_int("demand period", *(t for t, _, _ in demands))
+        require_int("demand item", *(item for _, item, _ in demands))
+        require_int("demand amount", *(a for _, _, a in demands))
+        require_int("holding cost", *holding)
         if len(orders) != horizon:
             raise ValueError("one order slot per period required")
         if len(holding) != horizon - 1:

@@ -26,6 +26,13 @@ def _windowed(costs, releases, deadlines, demands=None, facilities=None):
     return Instance(facilities, clients, costs)
 
 
+def test_partition_rejects_non_integer_entries(ref1):
+    for s1, s2, field in (((1.0,), (2,), "s1"), ((1,), (True,), "s2"),
+                          ((1, "2"), (), "s1")):
+        with pytest.raises(ValueError, match=field):
+            ClientPartition(s1, s2)
+
+
 def test_partition_validate(ref1):
     ClientPartition((1, 2), ()).validate(ref1)
     with pytest.raises(ValueError, match="every client exactly once"):

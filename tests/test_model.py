@@ -1,12 +1,17 @@
 """Instance model and Monge verification."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mongecfl.model import (INF, Client, Facility, Instance, MongeWitness,
-                            check_monge_adjacent, check_monge_full, is_inf,
-                            validate_instance)
+from mongecfl.exact import solve_exact
+from mongecfl.extensions import ClientPartition, run_two_class_fptas
+from mongecfl.fptas import run_fptas
+from mongecfl.model import (INF, Client, Facility, Infeasible, Instance,
+                            MongeWitness, check_monge_adjacent,
+                            check_monge_full, is_inf, validate_instance)
 
 
 def test_facility_invariants():
@@ -51,8 +56,47 @@ def test_validate_capacity_shortfall_is_warning():
 
 
 def test_validate_noninteger_cost():
-    inst = Instance([Facility(1, 5)], [Client(1)], [[1.5]])
-    assert any("nonnegative integer" in r for r in validate_instance(inst))
+    with pytest.raises(ValueError, match="integer"):
+        Instance([Facility(1, 5)], [Client(1)], [[1.5]])
+
+
+def test_validate_negative_cost():
+    inst = Instance([Facility(1, 5)], [Client(1)], [[-1]])
+    assert validate_instance(inst) == [
+        "cost (1,1): must be a nonnegative integer or inf"]
+
+
+def test_facility_rejects_non_integers():
+    for open_cost, capacity, field in (("x", 1, "open_cost"),
+                                       (True, 1, "open_cost"),
+                                       (0.5, 4, "open_cost"),
+                                       (1, 2.5, "capacity"),
+                                       (1, True, "capacity"),
+                                       (1, None, "capacity")):
+        with pytest.raises(ValueError, match=field):
+            Facility(open_cost, capacity)
+
+
+def test_client_rejects_non_integers():
+    for args, field in (((1.5,), "demand"), ((True,), "demand"),
+                        (("2",), "demand"), ((1, 1.0), "release"),
+                        ((1, False), "release"), ((1, None, "2"), "deadline"),
+                        ((1, 1, INF), "deadline")):
+        with pytest.raises(ValueError, match=field):
+            Client(*args)
+    # ranges are validate_instance's: a zero demand still constructs
+    assert Client(0, 1, 2) == Client(0, release=1, deadline=2)
+
+
+def test_instance_rejects_non_integer_costs():
+    for bad in (1.5, True, "1", None, -INF, Fraction(1)):
+        with pytest.raises(ValueError, match=r"cost \(2,1\)"):
+            Instance([Facility(1, 5)] * 2, [Client(1)], [[1], [bad]])
+    # the instance that validated clean and then broke both solvers
+    with pytest.raises(ValueError, match="capacity"):
+        Instance([Facility(1, 2.5), Facility(0.5, 4)], [Client(1.5), Client(2)],
+                 [[1, 2], [3, 1]])
+    assert Instance([Facility(1, 5)], [Client(1)], [[INF]]).costs == ((INF,),)
 
 
 def test_monge_full_ref1(ref1):
@@ -90,6 +134,14 @@ def test_monge_full_first_witness_is_lexicographic():
     assert (witness.h, witness.i, witness.j, witness.k) == first
 
 
+def test_monge_checkers_reject_ragged_rows():
+    for costs in ([[1], [2, 3]], [[1, 2], [3]], [[1, 2], [3, 4], []]):
+        with pytest.raises(ValueError, match="rows differ in length"):
+            check_monge_full(costs)
+        with pytest.raises(ValueError, match="rows differ in length"):
+            check_monge_adjacent(costs)
+
+
 def test_monge_adjacent_examples():
     assert check_monge_adjacent([[1, 2], [3, 1]]) is None
     assert check_monge_adjacent([[2, 1], [1, 2]]) is not None
@@ -104,3 +156,58 @@ def test_adjacent_agrees_with_full_on_finite(costs):
     full = check_monge_full(costs)
     adjacent = check_monge_adjacent(costs)
     assert (full is None) == (adjacent is None)
+
+
+# Small in-range instances with up to two fields replaced by anything:
+# ints, floats, bools, INF, None or one-character strings.  The model or
+# validate_instance must refuse the input, or every solver must answer
+# or report infeasibility.
+_ANY = (st.integers(-1, 6) | st.floats(-2, 6) | st.booleans() | st.just(INF)
+        | st.none() | st.text(max_size=1))
+
+
+@st.composite
+def _raw_instance(draw):
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    cost, small = st.integers(0, 6), st.integers(1, 6)
+    window = st.none() | st.integers(1, 3)
+    facilities = [[draw(cost), draw(small)] for _ in range(m)]
+    clients = [[draw(small), draw(window), draw(window)] for _ in range(n)]
+    costs = [[draw(cost | st.just(INF)) for _ in range(n)] for _ in range(m)]
+    slots = [(row, k) for rows in (facilities, clients, costs)
+             for row in rows for k in range(len(row))]
+    for _ in range(draw(st.integers(0, 2)) if slots else 0):
+        row, k = draw(st.sampled_from(slots))
+        row[k] = draw(_ANY)
+    return facilities, clients, costs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_raw_instance())
+def test_validated_instances_solve(raw):
+    facilities, clients, costs = raw
+    try:
+        inst = Instance([Facility(*f) for f in facilities],
+                        [Client(*c) for c in clients], costs)
+    except ValueError:
+        return
+    if any(not r.startswith("warning") for r in validate_instance(inst)):
+        return
+    for solve in (solve_exact, lambda inst: run_fptas(inst, Fraction(1, 2))):
+        try:
+            solve(inst)
+        except Infeasible:
+            pass
+    partition = ClientPartition(range(1, inst.n + 1), ())
+    try:
+        partition.validate(inst)
+    except ValueError:
+        # a client released after facility 1 is not release-free: the
+        # two-class solver refuses this partition up front
+        with pytest.raises(ValueError, match="release-free class"):
+            run_two_class_fptas(inst, partition, Fraction(1, 2))
+        return
+    try:
+        run_two_class_fptas(inst, partition, Fraction(1, 2))
+    except Infeasible:
+        pass

@@ -27,6 +27,28 @@ def test_lot_sizing_validation():
         LotSizingInstance(1, [(1, 1)], [(2, 0, 1)], [])
 
 
+def test_lot_sizing_rejects_non_integers():
+    # int() used to truncate this to orders ((1, 3), (4, 2)), demand 2
+    # and holding 0
+    with pytest.raises(ValueError, match="cost"):
+        LotSizingInstance(2, [(1.9, 3.7), ("4", 2)],
+                          [(1, 0, 2.5), (2, 0, 1)], [0.6])
+    for path, field, bad in (((0,), "horizon", True),
+                             ((1, 0, 0), "cost", 1.9),
+                             ((1, 1, 1), "capacity", "5"),
+                             ((2, 0, 0), "period", 1.0),
+                             ((2, 1, 1), "item", False),
+                             ((2, 1, 2), "amount", None),
+                             ((3, 0), "holding", True)):
+        args = [2, [[1, 5], [1, 5]], [[1, 0, 2], [2, 0, 3]], [2]]
+        target = args
+        for index in path[:-1]:
+            target = target[index]
+        target[path[-1]] = bad
+        with pytest.raises(ValueError, match=field):
+            LotSizingInstance(*args)
+
+
 def test_two_period_example():
     ls = LotSizingInstance(2, [(1, 5), (1, 5)],
                            [(1, 0, 2), (2, 0, 3)], [2])
