@@ -16,10 +16,12 @@ entry by "closed" and by every grid spend pair (s1, s2), then prunes.
 Serve curves.  For one frontier entry and one class, the demand the
 facility serves right to left, up to its capacity, is a piecewise
 linear function f of the money spent, with one breakpoint (money,
-amount) per residual client it reaches: a ``kernel.ServeCurve`` over
-the class's clients.  It is built once per (entry, class); the facility
-then serves t1 = f(s1) of class 1 and min(cap - t1, f(s2)) of class 2,
-so class 1 is evaluated once per s1 and class 2 once per s2.
+amount) per residual client it reaches: a ``kernel.ServeCurve``, cut
+by bisection from the level's ``kernel.ServeFamily`` of the class.
+Each level builds one family per class and cuts one curve per (entry,
+class); the facility then serves t1 = f(s1) of class 1 and
+min(cap - t1, f(s2)) of class 2, so class 1 is evaluated once per s1
+and class 2 once per s2.
 
 Scaled integers.  A level's frontier holds its demands as integers
 over one scale S, the lcm of their denominators.  Level i divides by
@@ -68,7 +70,7 @@ import numpy as np
 from .exact import Solution
 from .fptas import (BudgetGrid, Rational, find_budget_bound,
                     serve_everything_costs)
-from .kernel import ServeCurve, cost_lcm
+from .kernel import ServeCurve, ServeFamily
 from .model import (Infeasible, Instance, MongeWitness, check_monge_full,
                     is_inf, require_int)
 
@@ -157,9 +159,8 @@ def _vector_serve(inst: Instance, partition: ClientPartition, i: int,
                              List[Tuple[int, Fraction]]]:
     """Schedules of an open facility i: class 1 first, then class 2 on
     the capacity class 1 leaves.  ``d_met`` is scaled by ``scale``."""
-    lcm = cost_lcm(inst.costs[i - 1])
-    curve1 = ServeCurve(inst, i, partition.s1, d_met[0], scale, lcm)
-    curve2 = ServeCurve(inst, i, partition.s2, d_met[1], scale, lcm)
+    curve1 = ServeCurve(ServeFamily(inst, i, partition.s1), d_met[0], scale)
+    curve2 = ServeCurve(ServeFamily(inst, i, partition.s2), d_met[1], scale)
     t1 = curve1.served(money1 * scale)
     room = inst.facilities[i - 1].capacity * curve1.unit - t1
     return (curve1.schedule(t1),
@@ -259,8 +260,10 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
         if not frontier:
             break  # every entry reached the best cover's budget sum
         open_spend = grid.round_up(inst.facilities[i - 1].open_cost)
-        lcm = cost_lcm(inst.costs[i - 1])
         scale = frontier[0].scale
+        family1 = ServeFamily(inst, i, partition.s1)
+        family2 = ServeFamily(inst, i, partition.s2)
+        lcm = family1.lcm
         unit = scale * lcm  # the scale of this level's candidate demands
         cap = inst.facilities[i - 1].capacity * unit
         step = K * scale  # scaled money one grid step adds
@@ -277,12 +280,12 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
             slack = limit - (b0 + e.b1 + e.b2)
             if b0 > endpoint or slack < 0:
                 continue
-            curve1 = ServeCurve(inst, i, partition.s1, e.d1, scale, lcm)
-            curve2 = ServeCurve(inst, i, partition.s2, e.d2, scale, lcm)
+            curve1 = ServeCurve(family1, e.d1, scale)
+            curve2 = ServeCurve(family2, e.d2, scale)
             # spends up to the saturation money rounded up to the grid
-            max1 = min(endpoint - e.b1, -(-curve1.money[-1] // step) * K,
+            max1 = min(endpoint - e.b1, -(-curve1.saturation // step) * K,
                        slack)
-            max2 = min(endpoint - e.b2, -(-curve2.money[-1] // step) * K,
+            max2 = min(endpoint - e.b2, -(-curve2.saturation // step) * K,
                        slack)
             spends2 = range(0, max2 + 1, K)
             served2 = [curve2.served(s2 * scale) for s2 in spends2]

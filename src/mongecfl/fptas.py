@@ -22,21 +22,32 @@ offsets t <= s, of prev[t] (the demand facilities i+1..m meet within
 t*K) plus the demand facility i serves by spending q*K, q = s - t.  For
 fixed (i, t) that serve curve is piecewise linear in q, with one piece
 per client facility i reaches after prev[t] is taken from the right,
-up to its capacity: a ``kernel.ServeCurve`` over all clients, whose
-breakpoints are Python ints.  The curve splits into at most n+2 index
-ranges of q, each one line over the grid index s = t + q:
+up to its capacity.  Every curve of the level is a walk of one
+``kernel.ServeFamily`` over all clients, and one ``sweep`` gives, for
+every run start t (see below) and every position p of the family, the
+demand served and the money spent (over S) once the walk has passed
+p.  With edge(p) = ceil((open_cost*S + money before p) / (K*S)), the
+first q whose budget covers the opening and everything before p, each
+curve splits into at most n+2 index ranges of q, each one line over
+the grid index s = t + q:
 
-* pre-open, q*K < open_cost: nothing is served, a line of slope 0 at
+* pre-open, q < edge(0): nothing is served, a line of slope 0 at
   prev[t];
-* one linear segment [lo, hi) per breakpoint pair at a positive rate
-  c, where the served demand, over unit, is A + extra(q) * L_i / c.
-  extra(q) is the money (over S) spent past the segment's breakpoint,
-  so extra(q) = q*K*S - open_cost*S - money_k.  At grid index s the
-  offer is the line intercept + s * slope_c, with slope_c =
-  K*S*(L_i / c) shared by every segment of rate c in the level;
-* the saturated tail past the last breakpoint, where served demand is
-  a constant A_L: a line of slope 0.  Free (zero-cost) clients have
-  empty index ranges and only add to the next segment's A.
+* one linear segment [edge(p), edge(p + 1)) per position p at a
+  positive rate c that the walk serves, where the served demand, over
+  unit, is A + extra(q) * L_i / c.  extra(q) is the money (over S)
+  spent past the money before p, so
+  extra(q) = q*K*S - open_cost*S - money_p.  At grid index s the offer
+  is the line intercept + s * slope_c, with slope_c = K*S*(L_i / c)
+  shared by every segment of rate c in the level;
+* the saturated tail from the last edge on, where served demand is a
+  constant: a line of slope 0.  Free (zero-cost) clients, and the
+  positions the walk does not serve, have empty index ranges.
+
+The run starts go through the sweep in blocks.  numpy forms every
+(start, position) edge and packed intercept (below) of a block; one
+Python loop per run start keeps the segments that are not empty and
+start inside the grid, edge(p) < size - t.
 
 Row i is the lexicographic max over (value, -t) of all these offers: a
 larger value wins, and equal values keep the smallest carry-over t.
@@ -44,10 +55,9 @@ Each offer is packed into one integer, value * W + (W - 1 - t) with W a
 power of two above every t, so that max is a plain integer max, and the
 order of the offers does not matter.  Lines of one slope are parallel,
 so at each index the best of them is the one with the largest packed
-intercept; the tag in the low bits carries the tie-break.  The walk
-over the curves' breakpoints only records (index range, packed
-intercept) per slope.  Each slope then takes one offline range max over
-its ranges (a sparse table of power-of-two blocks) and adds
+intercept; the tag in the low bits carries the tie-break.  Each slope
+is one row of an offline range max over its lines' index ranges (a
+sparse table of power-of-two blocks, filled level by level), and adds
 s * slope_c * W.  The row and its backpointers are unpacked once per
 level.
 
@@ -65,16 +75,19 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
 from .exact import Solution
-from .kernel import (Amount, ServeCurve, cost_lcm, demand_met,
-                     serve_schedule)
+from .kernel import Amount, ServeFamily, demand_met, serve_schedule
 from .model import Infeasible, Instance, is_inf
 
 Rational = Union[int, float, str, Fraction]
+
+# run starts whose curves the fill walks at once
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -184,26 +197,41 @@ class ValueTable:
 
 
 def _range_max(size: int, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray,
-               floor: int, dtype: object) -> np.ndarray:
-    """Per index s < size, the largest keys[k] over the intervals
-    [lo[k], hi[k]) that hold s, and ``floor`` where none does.
+               floor, dtype: object) -> np.ndarray:
+    """Per row r and index s < size, the largest keys[k] over the
+    intervals [lo[k], hi[k]) that hold r * size + s, and ``floor[r]``
+    where none does: the rows are laid end to end, and no interval
+    crosses a row's end.  A scalar ``floor`` is one row, and the result
+    is then 1-D.
 
     Offline over a sparse table: an interval of length L, 2**k <= L <
     2**(k+1), is the union of the two blocks of length 2**k that start
     at lo and at hi - 2**k.  Level k of the table holds the largest key
-    of the blocks of length 2**k at each start; each level is then
-    pushed down into the two halves of its blocks.
+    of the blocks of length 2**k at each start.  The levels are filled
+    top-down in one array: a block of level k + 1 is the union of the
+    blocks of length 2**k at its start and 2**k on, so level k is level
+    k + 1 with each value also pushed 2**k on (one shifted max, which
+    numpy buffers where its operands overlap), and then its own keys
+    scattered.  Only one level and that buffer are live at a time.
     """
     level = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exact
-    table = np.full((int(level.max()) + 1, size), floor, dtype=dtype)
-    np.maximum.at(table, (level, lo), keys)
-    np.maximum.at(table, (level, hi - (1 << level)), keys)
-    for k in range(len(table) - 1, 0, -1):
-        half = 1 << (k - 1)
-        np.maximum(table[k - 1], table[k], out=table[k - 1])
-        np.maximum(table[k - 1, half:], table[k, :-half],
-                   out=table[k - 1, half:])
-    return table[0]
+    order = np.argsort(level, kind="stable")
+    level, lo, hi, keys = level[order], lo[order], hi[order], keys[order]
+    top = int(level[-1])
+    bounds = np.searchsorted(level, np.arange(top + 2)).tolist()
+    table = np.full(np.shape(floor) + (size,),
+                    np.reshape(floor, np.shape(floor) + (1,) * np.ndim(floor)),
+                    dtype=dtype)
+    flat = table.reshape(-1)  # a view: the rows end to end
+    for k in range(top, -1, -1):
+        if k < top:  # level k + 1 into its second halves
+            np.maximum(table[..., 1 << k:], table[..., :-(1 << k)],
+                       out=table[..., 1 << k:])
+        a, b = bounds[k], bounds[k + 1]
+        if a < b:
+            np.maximum.at(flat, lo[a:b], keys[a:b])
+            np.maximum.at(flat, hi[a:b] - (1 << k), keys[a:b])
+    return table
 
 
 def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
@@ -215,12 +243,15 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     Every offer at grid index s is one packed key,
     value * W + (W - 1 - t), with W = 2**bits the smallest power of two
     above the largest carry-over index size - 1, so an integer max is
-    the lexicographic max over (value, -t).  The walk over each
-    ``ServeCurve``'s breakpoints records (index range, packed
-    intercept) per slope and makes no numpy call; each slope then takes
-    one ``_range_max`` over its ranges and adds s * slope * W (the
-    pre-open ranges and the saturated tails are the slope-0 lines).
-    The row and the backpointers are unpacked once per level.
+    the lexicographic max over (value, -t).  ``ServeFamily.sweep``
+    gives the served demand and the money spent after every position,
+    for a block of run starts t at once; position p's segment is
+    the offsets q from edge(p) up to edge(p + 1) (see the module
+    docstring), and the nonempty ones that start inside the grid are
+    lines.  The lines are grouped by slope, one row per slope of one
+    ``_range_max``, and each row adds s * slope * W (the pre-open
+    ranges and the saturated tails are the slope-0 lines).  The row and
+    the backpointers are unpacked once per level.
 
     Only the first carry-over of each run of equal values in the row
     below offers anything: a later one of the same run walks the same
@@ -232,13 +263,21 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     partial serve e0 * lcm // c is exact.  The row and its scale are
     then reduced by their gcd.
 
-    dtype.  top is the largest, over the slopes, of -min(keys) and
+    dtypes, each from the level's measured maxima.  The walk (the sweep
+    and the edges) is int64 when the family's demand and its money plus
+    the opening and one grid step, all over S, are below 2**63.  The keys
+    are formed in int64 when lcm times the larger of the demand and
+    size*K*S + open_cost*S + money, plus one, times W is below 2**63, and
+    as Python ints in an object array otherwise: a key's intercept
+    subtracts lcm // c times t*K*S + open_cost*S + money_p.  top is the
+    largest, over the slopes, of -min(keys) and
     max(keys, 0) + ((size - 1) * slope + 1) * W.  It bounds every value
-    the level forms: the keys, the floor -((size - 1) * slope + 1) * W,
-    each s * slope * W, and best + s * slope * W, which runs from the
-    floor up to the largest key plus (size - 1) * slope * W.  A level is
-    int64 when top < 2**63, object arrays of Python ints otherwise; both
-    dtypes run the same code.
+    the level forms from the keys on: the keys, the floor
+    -((size - 1) * slope + 1) * W, each s * slope * W, and
+    best + s * slope * W, which runs from the floor up to the largest
+    key plus (size - 1) * slope * W.  The range max and the unpacking
+    are int64 when top < 2**63, object arrays of Python ints otherwise;
+    both dtypes run the same code.
     """
     size, K = grid.size, grid.K
     bits = (size - 1).bit_length()
@@ -250,20 +289,16 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     rows[inst.m] = np.zeros(size, dtype=np.int64)
     curves = 0
     for i in range(inst.m, 0, -1):
-        facility = inst.facilities[i - 1]
         scale = scales[i]  # of the row below, and of met demand and money
-        lcm = cost_lcm(inst.costs[i - 1])
+        family = ServeFamily(inst, i, clients)
+        lcm = family.lcm
         unit = scale * lcm  # of this level's values
         step_money = K * scale  # scaled money one grid step adds
-        open_money = facility.open_cost * scale
-        q_open = -(-facility.open_cost // K)  # first offset paying open_cost
+        open_money = inst.facilities[i - 1].open_cost * scale
+        q_open = -(-open_money // step_money)  # first offset paying it
         prev = rows[i]
-        # rate c -> (lcm // c, slope_c); the slope-0 lines are the
-        # pre-open ranges and the tails
-        rates = {c: (lcm // c, step_money * (lcm // c))
-                 for c in set(inst.costs[i - 1]) if not is_inf(c) and c > 0}
         # slope -> first indices, end indices and packed intercepts of
-        # its lines
+        # its lines; the slope-0 lines are the pre-open ranges and tails
         lines: Dict[int, Tuple[List[int], List[int], List[int]]] = (
             defaultdict(lambda: ([], [], [])))
         # prev is nondecreasing; only the first offset of each run of
@@ -271,56 +306,100 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
         starts = np.concatenate(([0], np.flatnonzero(prev[1:] != prev[:-1])
                                  + 1))
         curves += len(starts)
-        offsets, mets = starts.tolist(), prev[starts].tolist()
+        # every value the walk and the edges form is below these
+        walk = (np.int64 if max(open_money + family.money[-1] * scale
+                                + step_money, family.before[-1] * scale)
+                < 2**63 else object)
+        # every key formed is below this in magnitude
+        limit = lcm * max(family.before[-1] * scale, size * step_money
+                          + open_money + family.money[-1] * scale)
+        key_dtype = np.int64 if (limit + 1) * W < 2**63 else object
+        # per position: the slope of its segments, 0 where c is 0 or inf
+        position_slopes = [step_money * ratio for ratio in family.ratios]
+        ratio_row = np.array(family.ratios, dtype=key_dtype)
         if q_open > 0:  # nothing is served before the opening is paid
             lines[0] = (starts.tolist(),
                         np.minimum(starts + min(q_open, size), size).tolist(),
-                        [met * lcm * W + W - 1 - t
-                         for t, met in zip(offsets, mets)])
-        for t, met in zip(offsets, mets):
-            width = size - t
-            curve = ServeCurve(inst, i, clients, met, scale, lcm)
-            base = met * lcm  # demand met below, over this level's unit
-            tag = W - 1 - t
-            # each breakpoint pair at a positive rate is one linear
-            # segment; a zero-cost client has an empty index range
-            lo = q_open
-            for (_, c), spent, money, amount in zip(
-                    curve.clients, curve.money, curve.money[1:],
-                    curve.amount):
-                if lo >= width:
-                    break
-                if c > 0:
-                    hi = -(-(open_money + money) // step_money)
+                        (prev[starts].astype(key_dtype) * lcm * W
+                         + (W - 1 - starts)).tolist())
+        # the run starts in blocks, so that the starts x positions arrays
+        # stay small whatever the grid
+        for block in range(0, len(starts), _BLOCK):
+            part = starts[block:block + _BLOCK]
+            met = prev[part].astype(walk)
+            served, spent = family.sweep(met, scale, walk)
+            # edges[:, k]: the first offset whose money covers the opening
+            # and the first k positions; position k's segment is the
+            # offsets edges[:, k] .. edges[:, k + 1], empty at a zero
+            # cost or no residual
+            edges = (spent + (open_money + step_money - 1)) // step_money
+            met = met.astype(key_dtype)[:, None]
+            tags = (W - 1 - part)[:, None]
+            # the packed intercept of each position's segment, and of
+            # the saturated tail
+            keys = ((met + served[:, :-1]) * lcm
+                    - (part.astype(key_dtype)[:, None] * step_money
+                       + open_money + spent[:, :-1]) * ratio_row) * W
+            keys += tags
+            tails = (met + served[:, -1:]) * lcm * W + tags
+            del served, spent
+            # The segments kept, nonempty and starting inside the grid,
+            # are picked per run start in Python.  Picked with numpy too,
+            # the per-level numpy calls dominate small grids: the solve
+            # time then grows about 3-fold from eps = 1/10 to 1/100 on
+            # the criterion-8 instances (tests/test_acceptance.py asks 5-
+            # to 20-fold, for a grid about 7 times the size).
+            for t, edge, row_keys, (tail,) in zip(
+                    part.tolist(), edges.tolist(), keys.tolist(),
+                    tails.tolist()):
+                width = size - t
+                lo = edge[0]  # q_open
+                for slope, hi, key in zip(position_slopes, edge[1:],
+                                          row_keys):
+                    if lo >= width:
+                        break
                     if lo < hi:
-                        ratio, slope = rates[c]
-                        firsts, ends, keys = lines[slope]
+                        firsts, ends, slope_keys = lines[slope]
                         firsts.append(t + lo)
                         ends.append(t + hi if hi < width else size)
-                        keys.append((base + amount - t * slope
-                                     - (open_money + spent) * ratio) * W
-                                    + tag)
-                    lo = hi
-            if lo < width:  # saturated from t + lo on
-                firsts, ends, keys = lines[0]
-                firsts.append(t + lo)
-                ends.append(size)
-                keys.append((base + curve.amount[-1]) * W + tag)
+                        slope_keys.append(key)
+                        lo = hi
+                if lo < width:  # saturated from t + lo on
+                    firsts, ends, slope_keys = lines[0]
+                    firsts.append(t + lo)
+                    ends.append(size)
+                    slope_keys.append(tail)
+            del edges, keys, tails
+        slopes = list(lines)
         top = max(max(-min(keys), max(max(keys), 0)
                       + ((size - 1) * slope + 1) * W)
                   for slope, (_, _, keys) in lines.items())
         dtype: object = np.int64 if top < 2**63 else object
-        key = np.full(size, -1, dtype=dtype)
-        ramp = np.arange(size, dtype=dtype)
-        for slope, (firsts, ends, keys) in lines.items():
-            best = _range_max(size, np.array(firsts), np.array(ends),
-                              np.array(keys, dtype=dtype),
-                              -(slope * (size - 1) * W + W), dtype)
-            np.maximum(key, best + ramp * (slope * W), out=key)
+        # one table row per slope: row r's index s is r * size + s
+        counts = [len(keys) for _, _, keys in lines.values()]
+        offset = np.repeat(np.arange(0, len(slopes) * size, size), counts)
+        firsts, ends = (np.fromiter(chain.from_iterable(
+            lines[slope][field] for slope in slopes), np.int64, sum(counts))
+            + offset for field in (0, 1))
+        keys = np.array(list(chain.from_iterable(
+            lines[slope][2] for slope in slopes)), dtype=dtype)
+        del lines, offset
+        best = _range_max(size, firsts, ends, keys,
+                          np.array([-(slope * (size - 1) * W + W)
+                                    for slope in slopes], dtype=dtype),
+                          dtype)
+        del firsts, ends, keys
+        if size > 1:  # s * slope * W, which top bounds from s = 1 on
+            best += (np.array([slope * W for slope in slopes], dtype=dtype)
+                     [:, None] * np.arange(size, dtype=dtype))
+        key = best.max(axis=0)  # every index holds an offer of start 0
+        del best
         row = key >> bits
         choice = ((W - 1) - (key & (W - 1))).astype(np.int64)
+        # an all-zero row gives g = unit, which need not fit int64
         g = math.gcd(unit, int(np.gcd.reduce(row)))
-        row //= g
+        if row.any():
+            row //= g
         rows[i - 1], choices[i - 1], scales[i - 1] = row, choice, unit // g
     return ValueTable(grid, scales, rows, choices, curves)
 

@@ -2,14 +2,28 @@
 
 The Monge property lets every dynamic program assign demand greedily.
 ``greedy_serve`` walks clients left to right from a given unit; the
-exact DP's extraction uses it.  ``ServeCurve`` is the one right-to-left
-serve walk, in integers scaled by a caller-given factor: an open
-facility serves the demand later facilities left, from the last client
-backward, until its money or its capacity runs out or it reaches an
-infinite cost.  Its callers are ``serve_schedule`` and ``demand_met``
-(the FPTAS bound search and extraction), the FPTAS table fill, which
-records one line per breakpoint pair, and the two-class frontier
-and extraction in ``extensions``.
+exact DP's extraction uses it.
+
+The one right-to-left serve walk is ``ServeFamily``: an open facility
+serves the demand later facilities left, from the last client backward,
+until its money or its capacity runs out or it reaches an infinite
+cost.  For facility i and one client class, every such walk, whatever
+the met demand M and the scale it is counted in, reads the same suffix
+sums over the clients taken from the right (demand before each
+position, money before it, the cost there and the next infinite cost).
+M only picks where the walk starts, and the capacity and the next
+infinite cost where it stops.  The family is read two ways:
+
+* ``ServeCurve`` cuts one walk out of it by bisection, for one M, as
+  Python ints.  Its callers are ``serve_schedule`` and ``demand_met``
+  (the FPTAS bound search and extraction), which keep the families of
+  the last instance they served, and the two-class frontier and
+  extraction in ``extensions``, which build one family per level and
+  class and one cut per frontier entry.
+* ``ServeFamily.sweep`` walks every M of a numpy vector at once, as
+  starts x positions arrays of served demand and spent money; the FPTAS
+  table fill reads the run starts of a level from it, a block at a
+  time.
 
 Everything here is a pure function over an immutable Instance.  Amounts
 are exact: scaled integers inside the walk, and ``Fraction`` at the
@@ -20,11 +34,13 @@ boundary of ``serve_schedule``, ``demand_met`` and
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+
+import numpy as np
 
 from .model import INF, Cost, Instance, is_inf
 
@@ -100,86 +116,199 @@ def cost_lcm(row: Tuple[Cost, ...]) -> int:
     return math.lcm(*(c for c in row if not is_inf(c) and c > 1))
 
 
-class ServeCurve:
-    """Right-to-left serve of one client class by facility i, up to its
-    capacity.
+class ServeFamily:
+    """Every right-to-left serve of one client class by facility i: the
+    suffix sums each of its curves is a cut of.
 
-    Demand and money are integers scaled by ``scale``: ``d_met / scale``
-    units of the class are already met right to left by later
-    facilities.  Spending money x on the residual clients, from the
-    right, serves f(x); ``money[k]`` (scaled by ``scale``) and
-    ``amount[k]`` (scaled by ``unit = scale * lcm``) are the money and
-    amount once the first k of them are served.  ``lcm`` is a multiple
-    of every finite positive cost facility i may reach, so a partial
-    serve (x - money[k]) * lcm / c is a whole number of units.  The
-    walk stops at the first infinite cost or where facility i's
-    capacity binds: the last client served then gets only what the
-    capacity leaves, so ``amount[-1]`` never exceeds the capacity.  f
-    is constant from ``money[-1]`` (the saturation money) on.
+    Positions take the class's clients from the right, with clients of
+    demand 0 dropped (a walk skips them before it reads their cost).
+    ``clients[p]`` is (client, cost) at position p, ``before[p]`` the
+    demand of the positions before p, ``money[p]`` their money (demand
+    times cost, an infinite cost counted 0), and ``next_inf[p]`` the
+    first position at or after p with an infinite cost (the number of
+    positions if none); ``ratios[p]`` is lcm // c at p, 0 for a zero or
+    infinite cost.  A walk after met demand M starts at the first
+    position p with before[p + 1] > M, and stops at the first infinite
+    cost, or after the position where the served demand reaches the
+    capacity, which that position gets only part of.
+
+    The sums are unscaled; a cut or a sweep reads them at a scale S,
+    with met demand and money as integers over S and amounts over
+    S * ``lcm``.  ``lcm`` is a multiple of every finite positive cost of
+    facility i, so a partial serve x * lcm / c is a whole number.
     """
 
-    __slots__ = ("clients", "money", "amount", "lcm", "unit")
+    __slots__ = ("clients", "costs", "ratios", "before", "money",
+                 "next_inf", "capacity", "lcm")
 
-    def __init__(self, inst: Instance, i: int, members: Sequence[int],
-                 d_met: int, scale: int, lcm: int):
-        self.lcm = lcm
-        self.unit = scale * lcm
-        # (client, cost) in serving order, and the breakpoints
-        self.clients = clients = []
-        self.money = moneys = [0]
-        self.amount = amounts = [0]
+    def __init__(self, inst: Instance, i: int, members: Sequence[int]):
         row = inst.costs[i - 1]
         demands = inst.clients
-        room = inst.facilities[i - 1].capacity * scale
-        left = d_met
-        money = amount = 0
+        self.lcm = cost_lcm(row)
+        self.capacity = inst.facilities[i - 1].capacity
+        self.clients = clients = []
+        self.before = before = [0]
+        self.money = money = [0]
+        e = q = 0
         for j in reversed(members):
-            r = demands[j - 1].demand * scale - left
-            if r <= 0:  # met by later facilities
-                left = -r
-                continue
-            left = 0
-            c = row[j - 1]
-            if c == INF:
-                break
-            if r > room:
-                r = room
-            clients.append((j, c))
-            money += c * r
-            amount += r * lcm
-            moneys.append(money)
-            amounts.append(amount)
-            room -= r
-            if room == 0:
-                break
+            d = demands[j - 1].demand
+            if d > 0:
+                c = row[j - 1]
+                e += d
+                if c != INF:
+                    q += c * d
+                clients.append((j, c))
+                before.append(e)
+                money.append(q)
+        self.costs = costs = [c for _, c in clients]
+        # lcm // c, exact: every finite cost above 1 divides lcm
+        self.ratios = [0 if c == INF or c == 0 else self.lcm // c
+                       for c in costs]
+        self.next_inf = next_inf = [len(clients)] * (len(clients) + 1)
+        if INF in costs:
+            for p in range(len(clients) - 1, -1, -1):
+                next_inf[p] = p if costs[p] == INF else next_inf[p + 1]
+
+    def sweep(self, met: np.ndarray, scale: int, dtype: object,
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every curve for the met demands ``met`` (over ``scale``) at
+        once, as (served, spent): per met demand (row) and
+        k = 0..positions (column), the demand served and the money spent
+        once the walk has passed the first k positions, both over
+        ``scale``.
+
+        ``dtype`` (int64 or object) must hold ``before[-1] * scale`` and
+        ``money[-1] * scale``, which bound every value formed.
+        """
+        before = np.array(self.before, dtype=dtype) * scale
+        cost = np.array([0 if c == INF else c for c in self.costs],
+                        dtype=dtype)
+        # the demand left at each position once M is taken from the right
+        residual = before[1:] - met[:, None]
+        np.maximum(residual, 0, out=residual)
+        np.minimum(residual, before[1:] - before[:-1], out=residual)
+        if self.next_inf[0] < len(cost):
+            # nothing from the first infinite cost the walk reaches on
+            stop = np.array(self.next_inf)[
+                np.searchsorted(before[1:], met, "right")]
+            residual[np.arange(len(cost)) >= stop[:, None]] = 0
+        served = np.zeros((len(met), len(cost) + 1), dtype=dtype)
+        np.cumsum(residual, axis=1, out=served[:, 1:])
+        np.minimum(served, min(self.capacity, self.before[-1]) * scale,
+                   out=served)
+        spent = np.zeros_like(served)
+        np.cumsum((served[:, 1:] - served[:, :-1]) * cost, axis=1,
+                  out=spent[:, 1:])
+        return served, spent
+
+
+class ServeCurve:
+    """One curve of a ``ServeFamily``: the right-to-left serve after
+    ``d_met`` (over ``scale``) was met by later facilities, up to the
+    capacity.
+
+    Spending money x on the residual clients, from the right, serves
+    f(x); ``money[k]`` (over ``scale``) and ``amount[k]`` (over
+    ``unit = scale * lcm``) are the money and amount once the first k
+    of ``clients`` (client, cost) are served.  The last client served
+    before the capacity binds gets only what the capacity leaves, so
+    ``amount[-1]`` never exceeds the capacity.  f is constant from
+    ``saturation`` = ``money[-1]`` on, at ``ceiling`` = ``amount[-1]``.
+
+    The cut is two bisections of the family's ``before``, for its first
+    and its end position; ``served`` bisects the family's money between
+    them, and the three lists are built only when read.
+    """
+
+    __slots__ = ("family", "d_met", "scale", "first", "stop", "base",
+                 "saturation", "ceiling", "lcm", "unit")
+
+    def __init__(self, family: ServeFamily, d_met: int, scale: int):
+        self.family = family
+        self.d_met = d_met
+        self.scale = scale
+        self.lcm = lcm = family.lcm
+        self.unit = scale * lcm
+        before = family.before
+        self.first = first = bisect_right(before, d_met // scale, 1) - 1
+        # the first position whose end the capacity reaches
+        stop = bisect_left(before, family.capacity - (-d_met // scale),
+                           first + 1)
+        self.stop = stop = min(stop, family.next_inf[first])
+        if first == stop:
+            self.base = self.saturation = self.ceiling = 0
+            return
+        costs = family.costs
+        # the money the met demand took, as the family counts it
+        self.base = base = (family.money[first] * scale
+                            + (d_met - before[first] * scale) * costs[first])
+        saturation = family.money[stop] * scale - base
+        amount = before[stop] * scale - d_met
+        room = family.capacity * scale
+        if amount > room:  # the capacity binds inside the last position
+            saturation -= (amount - room) * costs[stop - 1]
+            amount = room
+        self.saturation = saturation
+        self.ceiling = amount * lcm
+
+    @property
+    def clients(self) -> List[Tuple[int, Cost]]:
+        return self.family.clients[self.first:self.stop]
+
+    @property
+    def money(self) -> List[int]:
+        if self.first == self.stop:
+            return [0]
+        return [0, *[q * self.scale - self.base for q in
+                     self.family.money[self.first + 1:self.stop]],
+                self.saturation]
+
+    @property
+    def amount(self) -> List[int]:
+        if self.first == self.stop:
+            return [0]
+        return [0, *[(e * self.scale - self.d_met) * self.lcm for e in
+                     self.family.before[self.first + 1:self.stop]],
+                self.ceiling]
 
     def served(self, money: int) -> int:
         """f(money), scaled by ``unit``, for ``money`` scaled by
         ``scale``."""
-        k = bisect_right(self.money, money) - 1
-        if k == len(self.clients):
-            return self.amount[k]
-        # a zero-cost next client would share money[k], so its cost is > 0
-        return self.amount[k] + ((money - self.money[k]) * self.lcm
-                                 // self.clients[k][1])
+        if money >= self.saturation:
+            return self.ceiling
+        family, scale = self.family, self.scale
+        spent = money + self.base  # as the family counts it, over scale
+        p = bisect_right(family.money, spent // scale, self.first + 1,
+                         self.stop) - 1
+        # a zero-cost position p would leave the family's money at p + 1
+        # no larger, so its cost is > 0; at p = first, the first term
+        # is the met part of that position, <= 0, and base cancels it
+        return ((family.before[p] * scale - self.d_met) * self.lcm
+                + (spent - family.money[p] * scale) * family.ratios[p])
 
     def schedule(self, amount: int) -> List[Tuple[int, Fraction]]:
         """(client, amount) in serving order that makes up ``amount``
         (scaled by ``unit``, at most ``served`` of some money); amounts
         are unscaled."""
         out: List[Tuple[int, Fraction]] = []
-        for (j, _), start, end in zip(self.clients, self.amount,
-                                      self.amount[1:]):
+        amounts = self.amount
+        for (j, _), start, end in zip(self.clients, amounts, amounts[1:]):
             if amount <= start:
                 break
             out.append((j, Fraction(min(end, amount) - start, self.unit)))
         return out
 
 
+# The families of the last instance ``_open_curve`` served, by facility:
+# the bound search and the extraction ask for the same few, many times.
+_families: Tuple[Optional[Instance], Dict[int, ServeFamily]] = (None, {})
+
+
 def _open_curve(inst: Instance, i: int, d_met: Amount, budget: Amount,
                 ) -> Optional[Tuple[ServeCurve, int]]:
     """Facility i's curve over all clients and the money it has left
     once open (scaled by the curve's scale); None if it cannot open."""
+    global _families
     if d_met < 0 or budget < 0:
         raise ValueError("d_met and budget must be nonnegative")
     if d_met > inst.total_demand:
@@ -187,10 +316,15 @@ def _open_curve(inst: Instance, i: int, d_met: Amount, budget: Amount,
     money = budget - inst.facilities[i - 1].open_cost
     if money < 0:
         return None
+    cached = _families
+    if cached[0] is not inst:
+        _families = cached = (inst, {})
+    family = cached[1].get(i)
+    if family is None:
+        family = cached[1][i] = ServeFamily(inst, i, range(1, inst.n + 1))
     scale = math.lcm(d_met.denominator, money.denominator)
-    curve = ServeCurve(inst, i, range(1, inst.n + 1),
-                       d_met.numerator * (scale // d_met.denominator), scale,
-                       cost_lcm(inst.costs[i - 1]))
+    curve = ServeCurve(family, d_met.numerator * (scale // d_met.denominator),
+                       scale)
     return curve, money.numerator * (scale // money.denominator)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Union
 
 INF = math.inf
@@ -99,8 +100,15 @@ class Instance:
 
     def __init__(self, facilities: Sequence[Facility], clients: Sequence[Client],
                  costs: Sequence[Sequence[Cost]]):
-        object.__setattr__(self, "facilities", tuple(facilities))
-        object.__setattr__(self, "clients", tuple(clients))
+        facilities, clients = tuple(facilities), tuple(clients)
+        for field, entries, kind in (("facility", facilities, Facility),
+                                     ("client", clients, Client)):
+            for k, entry in enumerate(entries, start=1):
+                if not isinstance(entry, kind):
+                    raise ValueError(f"{field} {k} must be a {kind.__name__}, "
+                                     f"got {entry!r}")
+        object.__setattr__(self, "facilities", facilities)
+        object.__setattr__(self, "clients", clients)
         costs = tuple(tuple(row) for row in costs)
         for i, row in enumerate(costs, start=1):
             for j, c in enumerate(row, start=1):
@@ -124,7 +132,7 @@ class Instance:
     def demand(self, j: int) -> int:
         return self.clients[j - 1].demand
 
-    @property
+    @cached_property
     def total_demand(self) -> int:
         return sum(c.demand for c in self.clients)
 

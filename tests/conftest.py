@@ -220,6 +220,87 @@ class ReferenceServeCurve:
         return out
 
 
+# The scaled-integer ``kernel.ServeCurve`` walk that the cut of a
+# ``kernel.ServeFamily`` replaced, unchanged (reference for
+# ``ServeFamily`` and ``ServeCurve``).
+
+
+class ReferenceIntegerServeCurve:
+    """Right-to-left serve of one client class by facility i, up to its
+    capacity.
+
+    Demand and money are integers scaled by ``scale``: ``d_met / scale``
+    units of the class are already met right to left by later
+    facilities.  Spending money x on the residual clients, from the
+    right, serves f(x); ``money[k]`` (scaled by ``scale``) and
+    ``amount[k]`` (scaled by ``unit = scale * lcm``) are the money and
+    amount once the first k of them are served.  ``lcm`` is a multiple
+    of every finite positive cost facility i may reach, so a partial
+    serve (x - money[k]) * lcm / c is a whole number of units.  The
+    walk stops at the first infinite cost or where facility i's
+    capacity binds: the last client served then gets only what the
+    capacity leaves, so ``amount[-1]`` never exceeds the capacity.  f
+    is constant from ``money[-1]`` (the saturation money) on.
+    """
+
+    __slots__ = ("clients", "money", "amount", "lcm", "unit")
+
+    def __init__(self, inst: Instance, i: int, members: Sequence[int],
+                 d_met: int, scale: int, lcm: int):
+        self.lcm = lcm
+        self.unit = scale * lcm
+        # (client, cost) in serving order, and the breakpoints
+        self.clients = clients = []
+        self.money = moneys = [0]
+        self.amount = amounts = [0]
+        row = inst.costs[i - 1]
+        demands = inst.clients
+        room = inst.facilities[i - 1].capacity * scale
+        left = d_met
+        money = amount = 0
+        for j in reversed(members):
+            r = demands[j - 1].demand * scale - left
+            if r <= 0:  # met by later facilities
+                left = -r
+                continue
+            left = 0
+            c = row[j - 1]
+            if c == INF:
+                break
+            if r > room:
+                r = room
+            clients.append((j, c))
+            money += c * r
+            amount += r * lcm
+            moneys.append(money)
+            amounts.append(amount)
+            room -= r
+            if room == 0:
+                break
+
+    def served(self, money: int) -> int:
+        """f(money), scaled by ``unit``, for ``money`` scaled by
+        ``scale``."""
+        k = bisect_right(self.money, money) - 1
+        if k == len(self.clients):
+            return self.amount[k]
+        # a zero-cost next client would share money[k], so its cost is > 0
+        return self.amount[k] + ((money - self.money[k]) * self.lcm
+                                 // self.clients[k][1])
+
+    def schedule(self, amount: int) -> List[Tuple[int, Fraction]]:
+        """(client, amount) in serving order that makes up ``amount``
+        (scaled by ``unit``, at most ``served`` of some money); amounts
+        are unscaled."""
+        out: List[Tuple[int, Fraction]] = []
+        for (j, _), start, end in zip(self.clients, self.amount,
+                                      self.amount[1:]):
+            if amount <= start:
+                break
+            out.append((j, Fraction(min(end, amount) - start, self.unit)))
+        return out
+
+
 def _reference_money_after_opening(inst: Instance, i: int, d_met: Amount,
                                    budget: Amount) -> Amount:
     """Budget left once facility i is open; negative if it cannot open."""

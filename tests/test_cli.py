@@ -55,6 +55,22 @@ def test_solve_fptas(tmp_path, capsys):
     assert report["grid_budget"] == 12
 
 
+def test_solve_fptas_all_zero_level_above_int64(tmp_path, capsys):
+    """Facility 2 cannot open within the grid, so its level is all zero
+    while its unit, the lcm of its costs, passes 2**63; the fill kept
+    that row int64 and overflowed dividing it by the unit."""
+    inst = Instance([Facility(0, 10), Facility(10**30, 10)],
+                    [Client(1), Client(1)],
+                    [[1, 1], [2**61 - 1, 2**31 - 1]])
+    path = tmp_path / "inst.json"
+    mio.save_instance(inst, path)
+    for algorithm in ("exact", "fptas"):
+        code, out, err = run(capsys, "solve", "--input", str(path),
+                             "--algorithm", algorithm, "--epsilon", "1/2")
+        assert (code, err) == (0, ""), algorithm
+        assert json.loads(out)["cost"] == "2"
+
+
 def test_solve_fptas_missing_epsilon(tmp_path, capsys):
     path = write_ref1(tmp_path)
     code, _, err = run(capsys, "solve", "--input", path,

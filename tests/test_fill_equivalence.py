@@ -11,6 +11,7 @@ rows.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -266,6 +267,24 @@ def test_curves_count_runs_of_the_met_row():
     assert table.curves == 1 + 2 == distinct_met_values(table)
 
 
+def test_all_zero_level_with_unit_above_int64():
+    """A level whose row is all zero reduces to scale 1 even when its
+    unit passes 2**63: the gcd of the row and the unit is the unit, and
+    the int64 row must not be divided by it.  Facility 2 opens at
+    10**30, past the grid's end, and its cost lcm is
+    (2**61 - 1) * (2**31 - 1)."""
+    inst = Instance([Facility(0, 10), Facility(10**30, 10)],
+                    [Client(1), Client(1)],
+                    [[1, 1], [2**61 - 1, 2**31 - 1]])
+    grid = BudgetGrid.for_instance(2, find_budget_bound(inst),
+                                   Fraction(1, 2))
+    assert (2**61 - 1) * (2**31 - 1) >= 2**63
+    assert_same_table(inst, grid)
+    table = build_value_table(inst, grid)
+    assert table.rows[1].tolist() == [0] * grid.size
+    assert table.scales[1:] == [1, 1]
+
+
 def brute_range_max(size, lo, hi, keys, floor):
     out = [floor] * size
     for a, b, key in zip(lo, hi, keys):
@@ -300,3 +319,23 @@ def test_range_max_matches_brute_force():
                 assert got.dtype == np.dtype(dtype)
                 assert got.tolist() == brute_range_max(size, lo, hi, keys,
                                                        floor)
+
+
+def test_range_max_peak_is_linear_in_size():
+    """``_range_max`` keeps one level of its sparse table live, so its
+    tracemalloc peak on 2**16 indices with intervals of every length,
+    all 17 levels, stays within 8 arrays of the size's length: the
+    intervals' own arrays and their sorted copies take about 6, and a
+    table of every level would take 17."""
+    size = 2**16
+    rng = np.random.default_rng(16)
+    lengths = np.arange(1, size + 1)
+    lo = rng.integers(0, size - lengths + 1)
+    keys = rng.integers(-2**40, 2**40, size)
+    tracemalloc.start()
+    try:
+        _range_max(size, lo, lo + lengths, keys, -2**41, np.int64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * size * 8

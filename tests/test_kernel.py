@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ReferenceServeCurve, greedy_transport,
-                      recompute_flow_cost, reference_demand_met,
-                      reference_serve_schedule)
+import numpy as np
+
+from conftest import (ReferenceIntegerServeCurve, ReferenceServeCurve,
+                      greedy_transport, recompute_flow_cost,
+                      reference_demand_met, reference_serve_schedule)
 from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
                                random_monge_instance)
-from mongecfl.kernel import (Flow, ServeCurve, cost_lcm, demand_met,
-                             greedy_serve, serve_schedule)
+from mongecfl.kernel import (Flow, ServeCurve, ServeFamily, cost_lcm,
+                             demand_met, greedy_serve, serve_schedule)
 from mongecfl.model import INF, Client, Facility, Instance, is_inf
 from mongecfl.reductions import lot_sizing_to_cfl
 
@@ -240,8 +242,8 @@ def test_serve_curve_stops_at_the_capacity(demands, row, cap, d_met, scale,
     """The curve's last breakpoint is (money at the cut, capacity), and
     f is the uncapped reference curve cut at the capacity."""
     inst = Instance([Facility(0, cap)], [Client(d) for d in demands], [row])
-    curve = ServeCurve(inst, 1, range(1, inst.n + 1), int(d_met * scale),
-                       scale, cost_lcm(inst.costs[0]))
+    curve = ServeCurve(ServeFamily(inst, 1, range(1, inst.n + 1)),
+                       int(d_met * scale), scale)
     assert [j for j, _ in curve.clients] == clients
     assert curve.amount[-1] == cap * curve.unit
     assert curve.money[-1] == money
@@ -249,6 +251,69 @@ def test_serve_curve_stops_at_the_capacity(demands, row, cap, d_met, scale,
     for x in range(money + 3 * scale):
         assert Fraction(curve.served(x), curve.unit) == min(
             cap, reference.served(Fraction(x, scale))), x
+
+
+def _assert_family_cuts(inst, members, scale):
+    """Every met demand's cut of the family equals the integer walk, and
+    the family's sweep, in int64 and object dtype, equals the cuts read
+    position by position."""
+    family = ServeFamily(inst, 1, members)
+    lcm = cost_lcm(inst.costs[0])
+    total = sum(inst.demand(j) for j in members) * scale
+    mets = range(total + 1) if total <= 60 else sorted(
+        {0, total, *random.Random(total).sample(range(total), 40)})
+    cuts = []
+    for met in mets:
+        want = ReferenceIntegerServeCurve(inst, 1, members, met, scale, lcm)
+        got = ServeCurve(family, met, scale)
+        assert (got.clients, got.money, got.amount, got.unit) == (
+            want.clients, want.money, want.amount, want.unit), met
+        cuts.append(got)
+    dtypes = [object] + [np.int64] * (max(family.before[-1],
+                                          family.money[-1]) * scale < 2**63)
+    for dtype in dtypes:
+        served, spent = family.sweep(np.array(mets, dtype=dtype), scale,
+                                     dtype)
+        for curve, row_served, row_spent in zip(cuts, served.tolist(),
+                                                spent.tolist()):
+            walked = {j for j, _ in curve.clients}
+            for k in range(len(family.clients) + 1):
+                b = sum(j in walked for j, _ in family.clients[:k])
+                assert row_served[k] * lcm == curve.amount[b]
+                assert row_spent[k] == curve.money[b]
+
+
+@pytest.mark.parametrize("demands, row, cap", [
+    # the walk reaches the inf client 2 before the capacity binds
+    ((2, 3, 4), (1, INF, 2), 10),
+    # the capacity binds in client 2, before the inf client 1
+    ((2, 3, 4), (INF, 1, 2), 5),
+    # the zero-demand client 2 has an infinite cost: skipped, not a stop
+    ((2, 0, 4, 0), (1, INF, 2, INF), 10),
+    # zero costs before and after the capacity binds
+    ((3, 2, 5), (0, 4, 0), 6),
+    # costs above int64, and one whose money passes it
+    ((2, 3, 4), (2**64, 3 * 2**64, 1), 7),
+])
+def test_family_cut_matches_integer_walk(demands, row, cap):
+    inst = Instance([Facility(0, cap)], [Client(d) for d in demands], [row])
+    for scale in (1, 2, 6):
+        _assert_family_cuts(inst, range(1, inst.n + 1), scale)
+
+
+def test_family_cut_matches_integer_walk_on_random_rows():
+    """Random rows of inf, zero, small and 2**64 costs, zero demands,
+    subsets of the clients as the class and several scales."""
+    rng = random.Random(2020)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        row = [rng.choice((INF, 0, rng.randint(1, 13),
+                           rng.randint(1, 3) * 2**64)) for _ in range(n)]
+        inst = Instance([Facility(0, rng.randint(1, 15))],
+                        [Client(rng.choice((0, rng.randint(1, 7))))
+                         for _ in range(n)], [row])
+        members = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        _assert_family_cuts(inst, members, rng.choice((1, 2, 6)))
 
 
 def test_serve_schedule_stops_at_infinite_cost():

@@ -99,6 +99,20 @@ def test_instance_rejects_non_integer_costs():
     assert Instance([Facility(1, 5)], [Client(1)], [[INF]]).costs == ((INF,),)
 
 
+def test_instance_rejects_non_model_entries():
+    """Facilities must be ``Facility`` and clients ``Client`` objects;
+    a tuple used to pass the constructor and then end
+    ``validate_instance`` in an AttributeError."""
+    for facilities, clients, field in (
+            ([(1, 5)], [Client(1)], "facility 1"),
+            ([Facility(1, 5), None], [Client(1)], "facility 2"),
+            ([Facility(1, 5)], [1], "client 1"),
+            ([Facility(1, 5)], [Client(1), Facility(1, 5)], "client 2")):
+        with pytest.raises(ValueError, match=field):
+            Instance(facilities, clients, [[1] * len(clients)] *
+                     len(facilities))
+
+
 def test_monge_full_ref1(ref1):
     assert check_monge_full(ref1.costs) is None
 
