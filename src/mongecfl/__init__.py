@@ -12,8 +12,7 @@ from .fptas import (BudgetGrid, FptasResult, ValueTable, build_value_table,
                     find_budget_bound, run_fptas, solve_fptas)
 from .kernel import Flow
 from .model import (INF, Client, Facility, Infeasible, Instance, MongeWitness,
-                    check_monge_adjacent, check_monge_full, is_inf,
-                    validate_instance)
+                    check_monge_full, is_inf, validate_instance)
 from .oracle import OracleResult, brute_force_optimum, min_cost_assignment
 from .reductions import LotSizingInstance, lot_sizing_to_cfl, multi_item_to_cfl
 
@@ -22,7 +21,7 @@ __all__ = [
     "ExactSolver", "Facility", "Flow", "FptasResult", "Infeasible",
     "Instance", "LotSizingInstance", "MongeWitness",
     "OracleResult", "Solution", "ValueTable", "brute_force_optimum",
-    "build_value_table", "check_monge_adjacent", "check_monge_full",
+    "build_value_table", "check_monge_full",
     "check_windowed_monge", "find_budget_bound", "is_inf",
     "lot_sizing_to_cfl", "min_cost_assignment", "multi_item_to_cfl",
     "run_fptas", "run_two_class_fptas", "solve_exact", "solve_fptas",

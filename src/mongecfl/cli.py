@@ -19,7 +19,7 @@ import statistics
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
@@ -30,8 +30,8 @@ from .extensions import ClientPartition, check_windowed_monge, run_two_class_fpt
 from .fptas import run_fptas
 from .generate import (random_lot_sizing, random_monge_instance,
                        random_windowed_instance)
-from .model import (Infeasible, Instance, MongeWitness, check_monge_adjacent,
-                    check_monge_full, is_inf, validate_instance)
+from .model import (Infeasible, Instance, MongeWitness, check_monge_full,
+                    is_inf, validate_instance)
 from .oracle import brute_force_optimum
 from .reductions import lot_sizing_to_cfl, multi_item_to_cfl
 
@@ -61,10 +61,14 @@ class _NotMonge(Exception):
     ``MongeWitness`` or ``WindowViolation`` the checker returned."""
 
 
-def _require_monge(costs) -> None:
-    witness = check_monge_full(costs)
+def _require_monge(costs, clients) -> None:
+    """Raise ``_NotMonge`` unless the columns of ``clients`` (1-based,
+    increasing) are Monge; the witness names instance clients."""
+    witness = check_monge_full([[row[j - 1] for j in clients]
+                                for row in costs])
     if witness is not None:
-        raise _NotMonge(witness)
+        raise _NotMonge(replace(witness, j=clients[witness.j - 1],
+                                k=clients[witness.k - 1]))
 
 
 @contextmanager
@@ -143,16 +147,18 @@ def cmd_solve(args) -> int:
     if args.algorithm == "two-class" and args.partition:
         with _context("cannot read partition"):
             partition = mio.load_partition(args.partition)
-    else:  # the exact DP and the scalar grid need Monge costs
-        _require_monge(inst.costs)
+        partition.validate(inst)
+    # every solver needs Monge costs on each client class's columns
+    for clients in (partition.s1, partition.s2):
+        _require_monge(inst.costs, clients)
 
     digest = _digest(args.input)
     solution, fields = _run_solver(inst, args.algorithm, eps, partition)
-    if solution is None:
-        print(json.dumps(asdict(RunReport(args.algorithm, digest, "inf"))))
-        return EXIT_INFEASIBLE
     report = RunReport(args.algorithm, digest, epsilon=None
                        if args.algorithm == "exact" else args.epsilon, **fields)
+    if solution is None:
+        print(json.dumps(asdict(report)))
+        return EXIT_INFEASIBLE
     if args.verify_with_oracle:
         with _context("cannot verify with the oracle"):
             optimum = brute_force_optimum(inst).optimum
@@ -169,8 +175,6 @@ def cmd_check(args) -> int:
         inst = _load(args.input)
     if args.mode == "full":
         witness = check_monge_full(inst.costs)
-    elif args.mode == "adjacent":
-        witness = check_monge_adjacent(inst.costs)
     else:
         witness = check_windowed_monge(inst)
     if witness is not None:
@@ -182,7 +186,7 @@ def cmd_check(args) -> int:
 def _save_monge_instance(inst: Instance, path: str) -> int:
     """Write ``inst`` to ``path`` if its costs are Monge; raise
     ``_NotMonge`` and write nothing otherwise."""
-    _require_monge(inst.costs)
+    _require_monge(inst.costs, range(1, inst.n + 1))
     mio.save_instance(inst, path)
     print(f"wrote {inst.m}x{inst.n} instance to {path}")
     return EXIT_OK
@@ -240,7 +244,7 @@ def cmd_bench(args) -> int:
     for path in sorted(glob.glob(args.suite)):
         try:
             inst = _load(path)
-            _require_monge(inst.costs)
+            _require_monge(inst.costs, range(1, inst.n + 1))
         except (OSError, ValueError, KeyError, _NotMonge):
             rows.append({"instance": path, "algorithm": "error"})
             continue
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify the Monge property")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=["full", "adjacent", "windowed"],
+    p.add_argument("--mode", choices=["full", "windowed"],
                    default="full")
     p.set_defaults(func=cmd_check)
 

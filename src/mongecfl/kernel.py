@@ -207,17 +207,17 @@ class ServeCurve:
     ``d_met`` (over ``scale``) was met by later facilities, up to the
     capacity.
 
-    Spending money x on the residual clients, from the right, serves
-    f(x); ``money[k]`` (over ``scale``) and ``amount[k]`` (over
-    ``unit = scale * lcm``) are the money and amount once the first k
-    of ``clients`` (client, cost) are served.  The last client served
-    before the capacity binds gets only what the capacity leaves, so
-    ``amount[-1]`` never exceeds the capacity.  f is constant from
-    ``saturation`` = ``money[-1]`` on, at ``ceiling`` = ``amount[-1]``.
+    Spending money x (over ``scale``) on the residual clients, from the
+    right, serves f(x); ``amount[k]`` (over ``unit = scale * lcm``) is
+    the amount once the first k of ``clients`` (client, cost) are
+    served.  The last client served before the capacity binds gets only
+    what the capacity leaves, so ``amount[-1]`` never exceeds the
+    capacity.  f is constant from ``saturation`` on, at ``ceiling`` =
+    ``amount[-1]``.
 
     The cut is two bisections of the family's ``before``, for its first
     and its end position; ``served`` bisects the family's money between
-    them, and the three lists are built only when read.
+    them, and the two lists are built only when read.
     """
 
     __slots__ = ("family", "d_met", "scale", "first", "stop", "base",
@@ -254,14 +254,6 @@ class ServeCurve:
     @property
     def clients(self) -> List[Tuple[int, Cost]]:
         return self.family.clients[self.first:self.stop]
-
-    @property
-    def money(self) -> List[int]:
-        if self.first == self.stop:
-            return [0]
-        return [0, *[q * self.scale - self.base for q in
-                     self.family.money[self.first + 1:self.stop]],
-                self.saturation]
 
     @property
     def amount(self) -> List[int]:

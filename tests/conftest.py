@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import random
 import runpy
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -132,15 +131,6 @@ def recompute_flow_cost(flow: Flow, costs: Sequence[Sequence[Cost]]):
             return INF
         total += c * x
     return total
-
-
-def feasible_monge_instance(rng: random.Random, max_demand: int = 6,
-                            max_m: int = 5, max_n: int = 5) -> Instance:
-    """Random small feasible Monge instance for approximation tests."""
-    from mongecfl.generate import random_monge_instance
-    return random_monge_instance(rng, rng.randint(2, max_m),
-                                 rng.randint(2, max_n),
-                                 max_demand=max_demand, feasible=True)
 
 
 def extended_grid(grid: BudgetGrid, budget: int) -> BudgetGrid:

@@ -7,7 +7,7 @@ PUBLIC = [
     "ExactSolver", "Facility", "Flow", "FptasResult", "INF", "Infeasible",
     "Instance", "LotSizingInstance", "MongeWitness", "OracleResult",
     "Solution", "ValueTable", "brute_force_optimum", "build_value_table",
-    "check_monge_adjacent", "check_monge_full", "check_windowed_monge",
+    "check_monge_full", "check_windowed_monge",
     "find_budget_bound", "is_inf", "lot_sizing_to_cfl",
     "min_cost_assignment", "multi_item_to_cfl", "run_fptas",
     "run_two_class_fptas", "solve_exact", "solve_fptas",

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from mongecfl import cli
 from mongecfl import io as mio
 from mongecfl.cli import _ratio, main
-from mongecfl.model import INF, Client, Facility, Instance
+from mongecfl.generate import random_monge_instance, random_two_class_instance
+from mongecfl.model import INF, Client, Facility, Instance, check_monge_full
 
 
 def run(capsys, *argv):
@@ -94,10 +96,14 @@ def test_solve_infeasible_exit_2(tmp_path, capsys):
     inst = Instance([Facility(1, 2)], [Client(5)], [[1]])
     path = tmp_path / "bad.json"
     mio.save_instance(inst, path)
-    for extra in ([], ["--algorithm", "fptas", "--epsilon", "1"]):
+    for extra, epsilon in (([], None),
+                           (["--algorithm", "fptas", "--epsilon", "1"], "1")):
         code, out, _ = run(capsys, "solve", "--input", str(path), *extra)
         assert code == 2
-        assert json.loads(out)["cost"] == "inf"
+        report = json.loads(out)
+        assert report["cost"] == "inf"
+        assert report["epsilon"] == epsilon
+        assert isinstance(report["wall_ms"], float)
 
 
 def test_solve_input_error(tmp_path, capsys):
@@ -162,7 +168,7 @@ def write_raw(tmp_path, costs, open_cost=1):
 
 def test_check_ragged_cost_rows(tmp_path, capsys):
     path = write_raw(tmp_path, [[1, 2], [1]])
-    for mode in ("full", "adjacent", "windowed"):
+    for mode in ("full", "windowed"):
         code, _, err = run(capsys, "check", "--input", path, "--mode", mode)
         assert code == 1
         assert one_line_error(err) and "dimension mismatch" in err
@@ -279,11 +285,9 @@ def test_check_pass_and_fail(tmp_path, capsys):
                    [Client(1), Client(1)], [[2, 1], [1, 2]])
     bad_path = tmp_path / "bad.json"
     mio.save_instance(bad, bad_path)
-    for mode in ("full", "adjacent"):
-        code, out, _ = run(capsys, "check", "--input", str(bad_path),
-                           "--mode", mode)
-        assert code == 3
-        assert "violation" in out
+    code, out, _ = run(capsys, "check", "--input", str(bad_path))
+    assert code == 3
+    assert out == "violation at facilities (1,2) clients (1,2): 4 > 2\n"
 
 
 def test_check_windowed(tmp_path, capsys):
@@ -298,15 +302,13 @@ def test_check_windowed(tmp_path, capsys):
     assert code == 0 and "pass" in out
 
 
-def test_check_adjacent_rejects_inf(tmp_path, capsys):
-    from mongecfl.model import INF
-    inst = Instance([Facility(1, 5), Facility(1, 5)],
-                    [Client(2), Client(3)], [[0, 2], [INF, 0]])
-    path = tmp_path / "inf.json"
-    mio.save_instance(inst, path)
-    code, _, err = run(capsys, "check", "--input", str(path),
-                       "--mode", "adjacent")
-    assert code == 1 and "check_monge_full" in err
+def test_check_mode_adjacent_is_a_usage_error(tmp_path, capsys):
+    """``check_monge_full`` takes the adjacent-pair pass itself on
+    finite costs, so there is no mode for it."""
+    code, out, err = run(capsys, "check", "--input", write_ref1(tmp_path),
+                         "--mode", "adjacent")
+    assert code == 1 and out == "" and one_line_error(err)
+    assert "invalid choice: 'adjacent'" in err
 
 
 def test_convert_lot_sizing(tmp_path, capsys):
@@ -617,8 +619,7 @@ _COMMANDS = {
     "instance": (["solve"],
                  ["solve", "--algorithm", "fptas", "--epsilon", "1/2"],
                  ["solve", "--algorithm", "two-class", "--epsilon", "1/2"],
-                 ["check"], ["check", "--mode", "adjacent"],
-                 ["check", "--mode", "windowed"],
+                 ["check"], ["check", "--mode", "windowed"],
                  ["convert", "--from", "single-demand", "--output", "{out}"]),
     "lot-sizing": (["convert", "--from", "lot-sizing", "--output", "{out}"],
                    ["convert", "--from", "multi-item", "--output", "{out}"]),
@@ -771,6 +772,55 @@ def test_solve_refuses_non_monge_costs(tmp_path, capsys, extra):
                          "--output", str(out_path), *extra)
     assert code == 3 and out == NON_MONGE_WITNESS and err == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("partition, instance, witness", [
+    ({"s1": [1, 2], "s2": []}, non_monge_instance(), NON_MONGE_WITNESS),
+    ({"s1": [], "s2": [1, 2]}, non_monge_instance(), NON_MONGE_WITNESS),
+    # class s1 is columns 1 and 3 of a matrix whose first violation is
+    # at clients (1,2); the witness names instance clients, not class
+    # positions
+    ({"s1": [1, 3], "s2": [2]},
+     Instance([Facility(0, 2), Facility(0, 2)], [Client(1)] * 3,
+              [[2, 0, 1], [1, 0, 2]]),
+     "violation at facilities (1,2) clients (1,3): 4 > 2\n"),
+], ids=["s1", "s2", "non-adjacent-class"])
+def test_solve_partition_refuses_a_non_monge_class(tmp_path, capsys,
+                                                   partition, instance,
+                                                   witness):
+    path = tmp_path / "inst.json"
+    mio.save_instance(instance, path)
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(partition))
+    out_path = tmp_path / "sol.json"
+    code, out, err = run(capsys, "solve", "--input", str(path),
+                         "--algorithm", "two-class", "--epsilon", "1/10",
+                         "--partition", str(part), "--output", str(out_path),
+                         "--verify-with-oracle")
+    assert code == 3 and out == witness and err == ""
+    assert not out_path.exists()
+
+
+def test_generated_splits_pass_the_class_check():
+    """No split the generator draws is refused: the criterion-9 split
+    draws (in that test's order) and 500 seeded draws.  Their whole
+    matrices are often not Monge, so the check must be per class."""
+    rng = random.Random(909)
+    for _ in range(100):
+        random_monge_instance(rng, rng.randint(1, 4), rng.randint(1, 4),
+                              feasible=True)
+    draws = [random_two_class_instance(rng, rng.randint(2, 4),
+                                       rng.randint(2, 4), feasible=True)
+             for _ in range(50)]
+    for seed in range(500):
+        rng = random.Random(seed)
+        draws.append(random_two_class_instance(rng, rng.randint(2, 5),
+                                               rng.randint(2, 5),
+                                               feasible=seed % 2 == 0))
+    for inst, s1, s2 in draws:
+        for clients in (s1, s2):
+            cli._require_monge(inst.costs, clients)
+    assert any(check_monge_full(inst.costs) for inst, _, _ in draws)
 
 
 def test_bench_non_monge_file_is_an_error_row(tmp_path, capsys, monkeypatch):

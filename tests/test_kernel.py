@@ -246,7 +246,10 @@ def test_serve_curve_stops_at_the_capacity(demands, row, cap, d_met, scale,
                        int(d_met * scale), scale)
     assert [j for j, _ in curve.clients] == clients
     assert curve.amount[-1] == cap * curve.unit
-    assert curve.money[-1] == money
+    assert curve.saturation == money
+    want = ReferenceIntegerServeCurve(inst, 1, range(1, inst.n + 1),
+                                      int(d_met * scale), scale, curve.lcm)
+    assert want.money[-1] == money
     reference = ReferenceServeCurve(inst, 1, range(1, inst.n + 1), d_met)
     for x in range(money + 3 * scale):
         assert Fraction(curve.served(x), curve.unit) == min(
@@ -254,8 +257,9 @@ def test_serve_curve_stops_at_the_capacity(demands, row, cap, d_met, scale,
 
 
 def _assert_family_cuts(inst, members, scale):
-    """Every met demand's cut of the family equals the integer walk, and
-    the family's sweep, in int64 and object dtype, equals the cuts read
+    """Every met demand's cut of the family equals the integer walk, at
+    and just past each of the walk's money breakpoints too, and the
+    family's sweep, in int64 and object dtype, equals the walks read
     position by position."""
     family = ServeFamily(inst, 1, members)
     lcm = cost_lcm(inst.costs[0])
@@ -266,21 +270,24 @@ def _assert_family_cuts(inst, members, scale):
     for met in mets:
         want = ReferenceIntegerServeCurve(inst, 1, members, met, scale, lcm)
         got = ServeCurve(family, met, scale)
-        assert (got.clients, got.money, got.amount, got.unit) == (
-            want.clients, want.money, want.amount, want.unit), met
-        cuts.append(got)
+        assert (got.clients, got.amount, got.unit, got.saturation) == (
+            want.clients, want.amount, want.unit, want.money[-1]), met
+        for money in want.money:
+            for x in (money, money + 1):
+                assert got.served(x) == want.served(x), (met, x)
+        cuts.append((got, want))
     dtypes = [object] + [np.int64] * (max(family.before[-1],
                                           family.money[-1]) * scale < 2**63)
     for dtype in dtypes:
         served, spent = family.sweep(np.array(mets, dtype=dtype), scale,
                                      dtype)
-        for curve, row_served, row_spent in zip(cuts, served.tolist(),
-                                                spent.tolist()):
+        for (curve, want), row_served, row_spent in zip(
+                cuts, served.tolist(), spent.tolist()):
             walked = {j for j, _ in curve.clients}
             for k in range(len(family.clients) + 1):
                 b = sum(j in walked for j, _ in family.clients[:k])
                 assert row_served[k] * lcm == curve.amount[b]
-                assert row_spent[k] == curve.money[b]
+                assert row_spent[k] == want.money[b]
 
 
 @pytest.mark.parametrize("demands, row, cap", [

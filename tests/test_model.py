@@ -1,17 +1,20 @@
 """Instance model and Monge verification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_check_monge_full
 from mongecfl.exact import solve_exact
 from mongecfl.extensions import ClientPartition, run_two_class_fptas
 from mongecfl.fptas import run_fptas
+from mongecfl.generate import monge_cost_matrix
 from mongecfl.model import (INF, Client, Facility, Infeasible, Instance,
-                            MongeWitness, check_monge_adjacent,
-                            check_monge_full, is_inf, validate_instance)
+                            MongeWitness, check_monge_full, is_inf,
+                            validate_instance)
 
 
 def test_facility_invariants():
@@ -152,24 +155,32 @@ def test_monge_checkers_reject_ragged_rows():
     for costs in ([[1], [2, 3]], [[1, 2], [3]], [[1, 2], [3, 4], []]):
         with pytest.raises(ValueError, match="rows differ in length"):
             check_monge_full(costs)
-        with pytest.raises(ValueError, match="rows differ in length"):
-            check_monge_adjacent(costs)
 
 
-def test_monge_adjacent_examples():
-    assert check_monge_adjacent([[1, 2], [3, 1]]) is None
-    assert check_monge_adjacent([[2, 1], [1, 2]]) is not None
-    with pytest.raises(ValueError, match="infinite entries unsupported"):
-        check_monge_adjacent([[0, 2], [INF, 0]])
+@st.composite
+def _finite_costs(draw):
+    """Random 0-20 entries (almost never Monge), Monge draws, and Monge
+    draws with one entry moved, which sit on either side of the
+    property."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("random", "monge", "perturbed")))
+    if kind == "random":
+        row = st.lists(st.integers(0, 20), min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=m, max_size=m))
+    costs = monge_cost_matrix(random.Random(draw(st.integers(0, 2**32))),
+                              m, n, draw(st.integers(0, 30)))
+    if kind == "perturbed":
+        costs[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] \
+            += draw(st.integers(-5, 5))
+    return costs
 
 
 @settings(max_examples=1000, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 20), min_size=5, max_size=5),
-                min_size=5, max_size=5))
+@given(_finite_costs())
 def test_adjacent_agrees_with_full_on_finite(costs):
-    full = check_monge_full(costs)
-    adjacent = check_monge_adjacent(costs)
-    assert (full is None) == (adjacent is None)
+    """On finite entries the adjacent-pair pass gives the quadruple
+    scan's answer, witness included."""
+    assert check_monge_full(costs) == reference_check_monge_full(costs)
 
 
 # Small in-range instances with up to two fields replaced by anything:
