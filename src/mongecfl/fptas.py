@@ -81,7 +81,9 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from .exact import Solution
-from .kernel import Amount, ServeFamily, demand_met, serve_schedule
+# demand_met stays a name here: perfbench/spans.py counts calls to it
+from .kernel import (Amount, ServeCurve, demand_met, serve_family,
+                     serve_schedule)
 from .model import Infeasible, Instance, is_inf
 
 Rational = Union[int, float, str, Fraction]
@@ -129,10 +131,18 @@ def max_contribution_feasible(inst: Instance, ell: int,
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
+    met, scale = 0, 1  # the demand met so far, over its smallest scale
     values: Dict[int, Amount] = {inst.m + 1: Fraction(0)}
     for i in range(inst.m, 0, -1):
-        values[i] = values[i + 1] + demand_met(inst, i, values[i + 1], ell)
-    return values[1] >= inst.total_demand, values
+        money = ell - inst.facilities[i - 1].open_cost
+        if money >= 0:  # facility i can open
+            family = serve_family(inst, i)
+            served = ServeCurve(family, met, scale).served(money * scale)
+            met, scale = met * family.lcm + served, scale * family.lcm
+            g = math.gcd(met, scale)
+            met, scale = met // g, scale // g
+        values[i] = Fraction(met, scale)
+    return met >= inst.total_demand * scale, values
 
 
 def serve_everything_costs(inst: Instance) -> List[int]:
@@ -282,7 +292,6 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     size, K = grid.size, grid.K
     bits = (size - 1).bit_length()
     W = 1 << bits  # carry-over tags W - 1 - t lie in [0, W)
-    clients = range(1, inst.n + 1)
     rows: List[np.ndarray] = [None] * (inst.m + 1)  # type: ignore[list-item]
     choices: List[np.ndarray] = [None] * inst.m  # type: ignore[list-item]
     scales = [1] * (inst.m + 1)
@@ -290,7 +299,7 @@ def build_value_table(inst: Instance, grid: BudgetGrid) -> ValueTable:
     curves = 0
     for i in range(inst.m, 0, -1):
         scale = scales[i]  # of the row below, and of met demand and money
-        family = ServeFamily(inst, i, clients)
+        family = serve_family(inst, i)
         lcm = family.lcm
         unit = scale * lcm  # of this level's values
         step_money = K * scale  # scaled money one grid step adds

@@ -15,11 +15,11 @@ M only picks where the walk starts, and the capacity and the next
 infinite cost where it stops.  The family is read two ways:
 
 * ``ServeCurve`` cuts one walk out of it by bisection, for one M, as
-  Python ints.  Its callers are ``serve_schedule`` and ``demand_met``
-  (the FPTAS bound search and extraction), which keep the families of
-  the last instance they served, and the two-class frontier and
-  extraction in ``extensions``, which build one family per level and
-  class and one cut per frontier entry.
+  Python ints.  Its callers are the FPTAS bound search and
+  ``serve_schedule`` (the FPTAS extraction) and ``demand_met``, which
+  read the families of the last instance through ``serve_family``, and
+  the two-class frontier and extraction in ``extensions``, which build
+  one family per level and class and one cut per frontier entry.
 * ``ServeFamily.sweep`` walks every M of a numpy vector at once, as
   starts x positions arrays of served demand and spent money; the FPTAS
   table fill reads the run starts of a level from it, a block at a
@@ -291,16 +291,27 @@ class ServeCurve:
         return out
 
 
-# The families of the last instance ``_open_curve`` served, by facility:
-# the bound search and the extraction ask for the same few, many times.
+# The families of the last instance asked for, by facility: the bound
+# search, the fill and the extraction ask for the same few, many times.
 _families: Tuple[Optional[Instance], Dict[int, ServeFamily]] = (None, {})
+
+
+def serve_family(inst: Instance, i: int) -> ServeFamily:
+    """Facility i's family over all clients, kept for the last instance."""
+    global _families
+    cached = _families
+    if cached[0] is not inst:
+        _families = cached = (inst, {})
+    family = cached[1].get(i)
+    if family is None:
+        family = cached[1][i] = ServeFamily(inst, i, range(1, inst.n + 1))
+    return family
 
 
 def _open_curve(inst: Instance, i: int, d_met: Amount, budget: Amount,
                 ) -> Optional[Tuple[ServeCurve, int]]:
     """Facility i's curve over all clients and the money it has left
     once open (scaled by the curve's scale); None if it cannot open."""
-    global _families
     if d_met < 0 or budget < 0:
         raise ValueError("d_met and budget must be nonnegative")
     if d_met > inst.total_demand:
@@ -308,12 +319,7 @@ def _open_curve(inst: Instance, i: int, d_met: Amount, budget: Amount,
     money = budget - inst.facilities[i - 1].open_cost
     if money < 0:
         return None
-    cached = _families
-    if cached[0] is not inst:
-        _families = cached = (inst, {})
-    family = cached[1].get(i)
-    if family is None:
-        family = cached[1][i] = ServeFamily(inst, i, range(1, inst.n + 1))
+    family = serve_family(inst, i)
     scale = math.lcm(d_met.denominator, money.denominator)
     curve = ServeCurve(family, d_met.numerator * (scale // d_met.denominator),
                        scale)
