@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 input error (a usage error, or an output file
-that cannot be written), 2 infeasible instance, 3 Monge violation.
+that cannot be written), 2 infeasible instance, 3 Monge violation, 4 a
+solution that fails ``solve --verify-with-oracle`` (its cost over the
+oracle's optimum exceeds 1 + epsilon, or 1 for the exact DP).
 Commands raise on failure and ``main`` alone turns the failure into its
 exit code.  Reports go to standard output as JSON; solution and instance
 files are written where the flags say.
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_MONGE = 3
+EXIT_BAD_RATIO = 4
 
 
 @dataclass
@@ -59,6 +62,11 @@ class RunReport:
 class _NotMonge(Exception):
     """Costs that break the Monge property; the one argument is the
     ``MongeWitness`` or ``WindowViolation`` the checker returned."""
+
+
+class _BadRatio(Exception):
+    """A solution whose cost breaks its solver's guarantee against the
+    oracle's optimum; the one argument is the message."""
 
 
 def _require_monge(costs, clients) -> None:
@@ -164,6 +172,12 @@ def cmd_solve(args) -> int:
             optimum = brute_force_optimum(inst).optimum
         report.oracle_cost = str(Fraction(optimum))
         report.ratio = _ratio(solution.total_cost, optimum)
+        guarantee = 1 if args.algorithm == "exact" else 1 + eps
+        if Fraction(solution.total_cost) > guarantee * Fraction(optimum):
+            print(json.dumps(asdict(report)))
+            raise _BadRatio(f"cost {report.cost} exceeds the guarantee, "
+                            f"{guarantee} times the oracle's optimum "
+                            f"{report.oracle_cost}")
     if args.output:
         mio.save_solution(solution, args.output)
     print(json.dumps(asdict(report)))
@@ -357,6 +371,9 @@ def main(argv=None) -> int:
         else:
             print(f"violation: {witness}")
         return EXIT_NOT_MONGE
+    except _BadRatio as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_RATIO
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

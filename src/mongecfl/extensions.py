@@ -19,9 +19,10 @@ linear function f of the money spent, with one breakpoint (money,
 amount) per residual client it reaches: a ``kernel.ServeCurve``, cut
 by bisection from the level's ``kernel.ServeFamily`` of the class.
 Each level builds one family per class and cuts one curve per (entry,
-class); the facility then serves t1 = f(s1) of class 1 and
-min(cap - t1, f(s2)) of class 2, so class 1 is evaluated once per s1
-and class 2 once per s2.
+class); the facility then serves t1 = f1(s1) of class 1 and
+t2 = min(cap - t1, f2(s2)) of class 2.  ``ServeFamily.served``
+evaluates f1 at every (entry, s1) and f2 at every (entry, s2) of the
+level in one numpy call per class.
 
 Scaled integers.  A level's frontier holds its demands as integers
 over one scale S, the lcm of their denominators.  Level i divides by
@@ -31,31 +32,46 @@ candidates' demands are exact integers over S * L_i, and the
 facility's capacity and the coverage targets are compared on that
 scale.  Dividing every demand and the scale by their gcd before the
 prune restores the lcm of the denominators.  No ``Fraction`` is built
-before extraction.
+before extraction.  A level forms its arrays in int64 when a bound on
+every value it forms (budgets, amounts and the serves' money) fits,
+and in object arrays of Python ints otherwise.
 
-Spend loops.  A spend past round_up(saturation money) serves nothing
+Spend grid.  A spend past round_up(saturation money) serves nothing
 more, so its candidate is strictly dominated by the one at that spend.
 The curve's saturation money is where the capacity binds if it does,
-so the s1 loop ends at the first spend that fills the capacity, and
-the s2 loop ends at the first spend that fills the room class 1 left.
+so an entry's s1 spends end at the first one that fills the capacity.
 Candidates whose budget sum exceeds the best cover found so far can
-neither be chosen nor dominate a candidate that can.  None of these is
-generated, and the pruned frontier is the same as with the full grid.
+neither be chosen nor dominate a candidate that can, so a pair needs
+s1 + s2 within the entry's slack.  In the (s1, s2) grid of an entry, a
+row keeps its spends s2 up to the first that fills the room class 1
+left: f2 is nondecreasing, so that is s2 = 0 or f2 at the previous
+spend below the room.  Pairs that serve nothing are dropped.  The
+level's pairs are masked as arrays, and the candidates come out in
+generation order: each entry's closed candidate, then its open ones
+row by row.  None of the skipped candidates could survive the prune,
+which keeps the same frontier as with the full grid.
 
-Integer-keyed prune.  The prune sorts candidates stably by (budget
-sum, b0, b1, b2, -d1, -d2) on the level's integer keys: int64, or
-Python ints in an object array when a key does not fit; object keys
-are then replaced row by row by their int64 ranks, which compare the
-same way.  A candidate is kept iff no candidate before it dominates it.
-That keeps the maxima of the vector set (Kung, Luccio & Preparata, JACM
-1975) and, among equal vectors, the first generated.  Dominance is
-tested block by block with numpy broadcasting, against the kept set
-and within the block.
+Packed-key prune.  The prune ranks each key (b0, b1, b2, -d1, -d2) with
+``np.unique``, whatever the level's dtype, drops keys that are constant
+over the level (b2 and d2 when class 2 is empty), and sorts stably by
+(budget sum, b0, b1, b2, -d1, -d2).  A candidate is kept iff no
+candidate before it dominates it.  That keeps the maxima of the vector
+set (Kung, Luccio & Preparata, JACM 1975) and, among equal vectors,
+the first generated.  The ranks of F candidates take w = bit_length(F)
++ 1 bits each, whose top bit is a guard, packed into as many int64
+words as the keys need; a <= b in every field of a word iff
+((b | G) - a) & G == G, with G the guard bits.  Dominance is tested
+block by block with numpy broadcasting on the words: against the kept
+set, a chunk at a time from the latest kept, whose budget sums are
+nearest the block's, with only the block's survivors left to test;
+then within the block.
 
-Lazy schedules.  Frontier entries record their budgets, parent and
-opened facility but no schedule; the spends are the budget differences
-to the parent, and extraction rebuilds the schedules along the chain
-of the best cover only.
+Lazy schedules.  A level's frontier holds its entries' budgets and
+demands as arrays, with each entry's parent as a row of the previous
+level's frontier and whether it opened the level's facility, but no
+schedule; the spends are the budget differences to the parent, and
+extraction rebuilds the schedules along the chain of the best cover
+only.
 """
 
 from __future__ import annotations
@@ -168,30 +184,50 @@ def _vector_serve(inst: Instance, partition: ClientPartition, i: int,
 
 
 @dataclass
-class _Entry:
-    b0: int
-    b1: int
-    b2: int
-    d1: int  # demands met, scaled by ``scale``
-    d2: int
+class _Frontier:
+    """A level's entries, one row each: a pruned frontier in frontier
+    order, or candidates in generation order.  Budgets and met demands
+    (over ``scale``), the row of each entry's parent in the previous
+    level's frontier, and whether it opened the level's facility."""
+
+    b0: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
     scale: int
-    parent: Optional["_Entry"]
-    facility: Optional[int]  # opened on top of parent, None if closed
+    parent: np.ndarray
+    opened: np.ndarray
 
-    @property
-    def budget_sum(self) -> int:
-        return self.b0 + self.b1 + self.b2
-
-
-_PRUNE_BLOCK = 256
+    def take(self, rows: np.ndarray) -> "_Frontier":
+        return _Frontier(self.b0[rows], self.b1[rows], self.b2[rows],
+                         self.d1[rows], self.d2[rows], self.scale,
+                         self.parent[rows], self.opened[rows])
 
 
-def _weakly_below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """M[x, y] is True iff column a[:, x] <= column b[:, y] in every row."""
-    out = a[0][:, None] <= b[0]
-    for r in range(1, len(a)):
-        out &= a[r][:, None] <= b[r]
-    return out
+_PRUNE_BLOCK = 128
+_KEPT_CHUNK = 256
+# x < y within a block: an earlier candidate can beat a later one
+_EARLIER = np.triu(np.ones((_PRUNE_BLOCK, _PRUNE_BLOCK), dtype=bool), 1)
+
+
+def _below(a: np.ndarray, b: np.ndarray, guard: np.int64) -> np.ndarray:
+    """M[x, y] is True iff every field of the packed words a[:, x] is <=
+    the same field of b[:, y].
+
+    A field's top bit is its guard, set in ``guard`` and clear in every
+    key, so (b | guard) - a borrows from no other field and keeps the
+    guard bit iff a <= b in that field.  Every word has its guards in
+    the same places, so the words' differences are and-ed first.
+    """
+    diff = (b[0] | guard) - a[0][:, None]
+    if len(a) > 1:
+        word = np.empty_like(diff)
+        for word_a, word_b in zip(a[1:], b[1:]):
+            np.subtract(word_b | guard, word_a[:, None], out=word)
+            diff &= word
+    diff &= guard
+    return diff == guard
 
 
 def _prune(b0: Sequence[int], b1: Sequence[int], b2: Sequence[int],
@@ -201,30 +237,55 @@ def _prune(b0: Sequence[int], b1: Sequence[int], b2: Sequence[int],
     Frontier order is (budget sum, b0, b1, b2, -d1, -d2), ties in
     candidate order.  A candidate is kept iff no candidate before it
     dominates it (budgets <= and demands >=): an earlier dominator is
-    itself kept or dominated by an earlier kept one.
+    itself kept or dominated by an earlier kept one.  Rows are integer
+    sequences or arrays, int64 or object.
     """
-    top = max(max(b0) + max(b1) + max(b2), max(d1), max(d2))
-    dtype = np.int64 if top < 2**63 else object
-    keys = np.array([b0, b1, b2, d1, d2], dtype=dtype)
-    # every row is "smaller is better", so a dominates b iff a <= b
-    keys[3:] *= -1
-    order = np.lexsort((keys[4], keys[3], keys[2], keys[1], keys[0],
-                        keys[0] + keys[1] + keys[2]))
-    keys = keys[:, order]
-    if dtype is object:
-        # dominance only needs each row's order: compare int64 ranks
-        keys = np.array([np.unique(row, return_inverse=True)[1]
-                         for row in keys])
-    kept_keys = keys[:, :0]
-    kept: List[int] = []
-    for start in range(0, len(order), _PRUNE_BLOCK):
-        block = keys[:, start:start + _PRUNE_BLOCK]
-        alive = np.flatnonzero(~_weakly_below(kept_keys, block).any(axis=0))
+    rows = [np.asarray(row) for row in (b0, b1, b2, d1, d2)]
+    if (any(row.dtype != np.int64 for row in rows)
+            or sum(int(row.max()) for row in rows[:3]) >= 2**63):
+        rows = [row.astype(object) for row in rows]
+    budget = rows[0] + rows[1] + rows[2]
+    # every key is "smaller is better", so a dominates b iff a <= b; its
+    # int64 ranks compare the same way, and a constant key decides
+    # nothing (b2 and d2 of a partition without class 2)
+    ranks = [np.unique(key, return_inverse=True)[1]
+             for key in (rows[0], rows[1], rows[2], -rows[3], -rows[4])
+             if (key != key[0]).any()]
+    order = np.lexsort((*ranks[::-1], budget))
+    if not ranks:  # all candidates are equal: the first one is kept
+        return order[:1].tolist()
+    # pack the ranks, w bits per field, as many fields per word as fit
+    total = len(order)
+    width = total.bit_length() + 1
+    per_word = 63 // width
+    words = np.zeros((-(-len(ranks) // per_word), total), dtype=np.int64)
+    for k, rank in enumerate(ranks):
+        words[k // per_word] |= rank[order] << width * (k % per_word)
+    guard = np.int64(sum(1 << width * f + width - 1
+                         for f in range(per_word)))
+    kept_words = np.empty_like(words)
+    kept = np.empty(total, dtype=np.int64)
+    count = 0
+    for start in range(0, total, _PRUNE_BLOCK):
+        block = words[:, start:start + _PRUNE_BLOCK]
+        # against the kept set, latest first, a chunk at a time, with
+        # only the block's survivors left to test
+        alive = np.arange(block.shape[1])
+        for stop in range(count, 0, -_KEPT_CHUNK):
+            beaten = _below(kept_words[:, max(0, stop - _KEPT_CHUNK):stop],
+                            block[:, alive], guard).any(axis=0)
+            alive = alive[~beaten]
+            if not len(alive):
+                break
         block = block[:, alive]
-        beaten = np.triu(_weakly_below(block, block), 1).any(axis=0)
-        kept_keys = np.concatenate([kept_keys, block[:, ~beaten]], axis=1)
-        kept.extend(order[start + alive[~beaten]].tolist())
-    return kept
+        n = block.shape[1]
+        fresh = ~(_below(block, block, guard)
+                  & _EARLIER[:n, :n]).any(axis=0)
+        added = np.count_nonzero(fresh)
+        kept_words[:, count:count + added] = block[:, fresh]
+        kept[count:count + added] = start + alive[fresh]
+        count += added
+    return order[kept[:count]].tolist()
 
 
 @dataclass(frozen=True)
@@ -234,6 +295,122 @@ class TwoClassResult:
     budget_vector: Tuple[int, int, int]
     bound: int
     grid: BudgetGrid
+    # (candidates, kept by the prune) per facility level, in solve order
+    levels: Tuple[Tuple[int, int], ...] = ()
+
+
+def _grid_runs(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(owner, index) of every item of consecutive runs of ``counts``
+    items: run r contributes (r, 0), ..., (r, counts[r] - 1)."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _candidates(prev: _Frontier, inst: Instance, partition: ClientPartition,
+                i: int, grid: BudgetGrid, limit: int) -> _Frontier:
+    """Facility i's candidates in generation order: each entry of
+    ``prev`` closed, then opened with its grid spend pairs (s1, s2) row
+    by row, at budget sums up to ``limit``.  Their demands are over
+    ``prev.scale`` times the lcm of row i's costs, and parents are rows
+    of ``prev``."""
+    K = grid.K
+    endpoint = (grid.size - 1) * K
+    facility = inst.facilities[i - 1]
+    open_spend = grid.round_up(facility.open_cost)
+    scale = prev.scale
+    family1 = ServeFamily(inst, i, partition.s1)
+    family2 = ServeFamily(inst, i, partition.s2)
+    lcm = family1.lcm
+    unit = scale * lcm  # the scale of the candidates' demands
+    step = K * scale  # scaled money one grid step adds
+    # every value formed below, the serves' included, is under top
+    top = ((inst.total_demand + facility.capacity + endpoint
+            + max(family1.money[-1], family2.money[-1])) * unit
+           + 3 * endpoint)
+    dtype = np.int64 if 2 * top < 2**63 else object
+    b0, b1, b2, d1, d2 = (a.astype(dtype) for a in
+                          (prev.b0, prev.b1, prev.b2, prev.d1, prev.d2))
+    entries = len(b0)
+    # the entries that can open, and the grid steps each may add to its
+    # budget sum
+    can_open = np.arange(0)
+    steps = np.zeros(0, dtype=dtype)
+    if open_spend <= endpoint:
+        steps = (limit - open_spend - (b0 + b1 + b2)) // K
+        can_open = np.flatnonzero((b0 <= endpoint - open_spend)
+                                  & (steps >= 0))
+        steps = steps[can_open]
+
+    def spends(budget, family, met):
+        """The entries' curves of one class and their numbers of spends:
+        up to the saturation money rounded up to the grid, within the
+        endpoint and the steps."""
+        curves = [ServeCurve(family, d, scale)
+                  for d in met[can_open].tolist()]
+        saturation = np.array([c.saturation for c in curves], dtype=dtype)
+        return curves, np.minimum(np.minimum(
+            (endpoint - budget[can_open]) // K, -(-saturation // step)),
+            steps).astype(np.int64) + 1
+
+    curves1, n1 = spends(b1, family1, d1)
+    curves2, n2 = spends(b2, family2, d2)
+    # class 1 once per (entry, s1) row, class 2 once per (entry, s2)
+    row_entry, j1 = _grid_runs(n1)
+    t1 = family1.served(curves1, row_entry, j1.astype(dtype) * step, dtype)
+    col_entry, col = _grid_runs(n2)
+    f2 = family2.served(curves2, col_entry, col.astype(dtype) * step, dtype)
+    # each row's spends s2 with s1 + s2 within the steps, row-major
+    width = np.minimum(n2[row_entry],
+                       np.minimum(steps, n1 + n2).astype(np.int64)
+                       [row_entry] - j1 + 1)
+    row, j2 = _grid_runs(width)
+    entry = row_entry[row]
+    k2 = (np.cumsum(n2) - n2)[entry] + j2
+    t1 = t1[row]
+    room = facility.capacity * unit - t1
+    t2 = np.minimum(room, f2[k2])
+    # f2 is nondecreasing, so a row ends after the first spend that
+    # fills the room class 1 left
+    keep = (t1 + t2 != 0) & ((j2 == 0) | (f2[k2 - 1] < room))
+    entry, j1, j2, t1, t2 = (a[keep] for a in (entry, j1[row], j2, t1, t2))
+    parent = can_open[entry]
+    # each entry's closed candidate, then its open ones
+    size = entries + len(parent)
+    closed_at = np.arange(entries) + np.searchsorted(parent,
+                                                     np.arange(entries))
+    open_at = np.arange(len(parent)) + parent + 1
+
+    def place(closed, opened, kind=dtype):
+        out = np.empty(size, dtype=kind)
+        out[closed_at] = closed
+        out[open_at] = opened
+        return out
+
+    return _Frontier(place(b0, b0[parent] + open_spend),
+                     place(b1, b1[parent] + j1.astype(dtype) * K),
+                     place(b2, b2[parent] + j2.astype(dtype) * K),
+                     place(d1 * lcm, d1[parent] * lcm + t1),
+                     place(d2 * lcm, d2[parent] * lcm + t2), unit,
+                     place(np.arange(entries), parent, np.int64),
+                     place(False, True, bool))
+
+
+def _level(prev: _Frontier, inst: Instance, partition: ClientPartition,
+           i: int, grid: BudgetGrid, limit: int) -> Tuple[_Frontier, int]:
+    """Facility i's pruned frontier over ``prev``, and its number of
+    candidates.  The candidates are built in a call of their own, so
+    the arrays that formed them are freed before the prune runs."""
+    cand = _candidates(prev, inst, partition, i, grid, limit)
+    # the smallest scale that keeps every demand whole: the lcm of
+    # their denominators
+    g = math.gcd(cand.scale, int(np.gcd.reduce(cand.d1)),
+                 int(np.gcd.reduce(cand.d2)))
+    if g > 1:
+        cand.d1 //= g
+        cand.d2 //= g
+        cand.scale //= g
+    kept = _prune(cand.b0, cand.b1, cand.b2, cand.d1, cand.d2)
+    return cand.take(np.array(kept, dtype=np.int64)), len(cand.b0)
 
 
 def run_two_class_fptas(inst: Instance, partition: ClientPartition,
@@ -251,98 +428,61 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
         # it is still an upper bound on the optimum, only looser.
         B = max(1, sum(serve_everything_costs(inst)))
     grid = BudgetGrid.for_instance(inst.m, B, eps)
-    K = grid.K
-    endpoint = (grid.size - 1) * K
 
-    frontier = [_Entry(0, 0, 0, 0, 0, 1, None, None)]
-    best_cover: Optional[_Entry] = None
+    zero = np.zeros(1, dtype=np.int64)
+    # history[L] is the frontier after L levels, facilities m..m - L + 1
+    history = [_Frontier(zero, zero, zero, zero, zero, 1, zero,
+                         np.zeros(1, dtype=bool))]
+    # (budget sum, b0, b1, b2) of the best cover, its level and its row
+    best: Optional[Tuple[Tuple[int, int, int, int], int, int]] = None
+    levels: List[Tuple[int, int]] = []
     for i in range(inst.m, 0, -1):
-        if not frontier:
+        if not len(history[-1].b0):
             break  # every entry reached the best cover's budget sum
-        open_spend = grid.round_up(inst.facilities[i - 1].open_cost)
-        scale = frontier[0].scale
-        family1 = ServeFamily(inst, i, partition.s1)
-        family2 = ServeFamily(inst, i, partition.s2)
-        lcm = family1.lcm
-        unit = scale * lcm  # the scale of this level's candidate demands
-        cap = inst.facilities[i - 1].capacity * unit
-        step = K * scale  # scaled money one grid step adds
         # no candidate above the best cover's budget sum can matter (and
         # no budget sum exceeds 3 * endpoint)
-        limit = 3 * endpoint if best_cover is None else best_cover.budget_sum
-        # candidates (b0, b1, b2, d1, d2, parent, facility opened) in
-        # generation order
-        candidates: List[tuple] = []
-        for e in frontier:
-            d1, d2 = e.d1 * lcm, e.d2 * lcm
-            candidates.append((e.b0, e.b1, e.b2, d1, d2, e, None))  # closed
-            b0 = e.b0 + open_spend
-            slack = limit - (b0 + e.b1 + e.b2)
-            if b0 > endpoint or slack < 0:
-                continue
-            curve1 = ServeCurve(family1, e.d1, scale)
-            curve2 = ServeCurve(family2, e.d2, scale)
-            # spends up to the saturation money rounded up to the grid
-            max1 = min(endpoint - e.b1, -(-curve1.saturation // step) * K,
-                       slack)
-            max2 = min(endpoint - e.b2, -(-curve2.saturation // step) * K,
-                       slack)
-            spends2 = range(0, max2 + 1, K)
-            served2 = [curve2.served(s2 * scale) for s2 in spends2]
-            for s1 in range(0, max1 + 1, K):
-                t1 = curve1.served(s1 * scale)
-                room = cap - t1
-                for s2, f2 in zip(spends2, served2):
-                    if s1 + s2 > slack:
-                        break
-                    t2 = min(room, f2)
-                    if t1 + t2 != 0:
-                        candidates.append((b0, e.b1 + s1, e.b2 + s2, d1 + t1,
-                                           d2 + t2, e, i))
-                    if t2 == room:
-                        break
-        # every entry adds its closed candidate, so the list is not empty
-        b0s, b1s, b2s, d1s, d2s, parents, opened = zip(*candidates)
-        del candidates  # freed before the prune, the level's memory peak
-        # the smallest scale that keeps every demand whole: the lcm of
-        # their denominators
-        g = math.gcd(unit, *d1s, *d2s)
-        if g > 1:
-            d1s = [d // g for d in d1s]
-            d2s = [d // g for d in d2s]
-        scale = unit // g
-        frontier = [_Entry(b0s[k], b1s[k], b2s[k], d1s[k], d2s[k], scale,
-                           parents[k], opened[k])
-                    for k in _prune(b0s, b1s, b2s, d1s, d2s)]
-        need1, need2 = target1 * scale, target2 * scale
-        for e in frontier:
-            if e.d1 >= need1 and e.d2 >= need2 and (
-                    best_cover is None
-                    or (e.budget_sum, e.b0, e.b1, e.b2)
-                    < (best_cover.budget_sum, best_cover.b0,
-                       best_cover.b1, best_cover.b2)):
-                best_cover = e
-        if best_cover is not None:
-            frontier = [e for e in frontier
-                        if e.budget_sum < best_cover.budget_sum
-                        or e is best_cover]
-    if best_cover is None:
+        limit = 3 * (grid.size - 1) * grid.K if best is None else best[0][0]
+        frontier, size = _level(history[-1], inst, partition, i, grid,
+                                limit)
+        levels.append((size, len(frontier.b0)))
+        # frontier order starts with the least (budget sum, b0, b1, b2),
+        # so the first entry that covers all demand is the level's best
+        budget = frontier.b0 + frontier.b1 + frontier.b2
+        covers = np.flatnonzero((frontier.d1 >= target1 * frontier.scale)
+                                & (frontier.d2 >= target2 * frontier.scale))
+        stay = None
+        if len(covers):
+            k = covers[0]
+            key = tuple(int(a[k]) for a in (budget, frontier.b0, frontier.b1,
+                                            frontier.b2))
+            if best is None or key < best[0]:
+                # no entry at the best cover's budget sum or above can
+                # beat it, and its row follows every one below
+                stay = budget < key[0]
+                best = key, len(history), np.count_nonzero(stay)
+                stay[k] = True
+        if stay is None and best is not None:
+            stay = budget < best[0][0]
+        history.append(frontier if stay is None
+                       else frontier.take(np.flatnonzero(stay)))
+    if best is None:
         raise Infeasible("no feasible solution within the budget grid")
 
     served: List[Tuple[int, int, Fraction]] = []
-    e: Optional[_Entry] = best_cover
-    while e is not None:
-        if e.facility is not None:
-            parent = e.parent
-            for sched in _vector_serve(inst, partition, e.facility,
-                                       (parent.d1, parent.d2), parent.scale,
-                                       e.b1 - parent.b1, e.b2 - parent.b2):
-                served += [(e.facility, j, amount) for j, amount in sched]
-        e = e.parent
+    (grid_budget, *budget_vector), level, row = best
+    for i in range(inst.m - level + 1, inst.m + 1):
+        now, prev = history[level], history[level - 1]
+        p = int(now.parent[row])
+        if now.opened[row]:
+            for sched in _vector_serve(
+                    inst, partition, i, (int(prev.d1[p]), int(prev.d2[p])),
+                    prev.scale, int(now.b1[row] - prev.b1[p]),
+                    int(now.b2[row] - prev.b2[p])):
+                served += [(i, j, amount) for j, amount in sched]
+        level, row = level - 1, p
     solution = Solution.from_served(inst, served)
-    return TwoClassResult(solution, best_cover.budget_sum,
-                          (best_cover.b0, best_cover.b1, best_cover.b2),
-                          B, grid)
+    return TwoClassResult(solution, grid_budget, tuple(budget_vector), B,
+                          grid, tuple(levels))
 
 
 def solve_two_class_fptas(inst: Instance, partition: ClientPartition,

@@ -20,6 +20,9 @@ infinite cost where it stops.  The family is read two ways:
   read the families of the last instance through ``serve_family``, and
   the two-class frontier and extraction in ``extensions``, which build
   one family per level and class and one cut per frontier entry.
+  ``ServeFamily.served`` reads many cuts at many moneys in one numpy
+  call, with ``ServeCurve.served``'s formula; the frontier evaluates a
+  level's spends with it.
 * ``ServeFamily.sweep`` walks every M of a numpy vector at once, as
   starts x positions arrays of served demand and spent money; the FPTAS
   table fill reads the run starts of a level from it, a block at a
@@ -200,6 +203,36 @@ class ServeFamily:
         np.cumsum((served[:, 1:] - served[:, :-1]) * cost, axis=1,
                   out=spent[:, 1:])
         return served, spent
+
+    def served(self, curves: Sequence["ServeCurve"], which: np.ndarray,
+               money: np.ndarray, dtype: object) -> np.ndarray:
+        """``curves[which[k]].served(money[k])`` for every k, as one array.
+
+        The curves are cuts of this family at one common scale S, and
+        ``money`` is over S.  ``dtype`` (int64 or object) must hold
+        ``lcm`` and ((before[-1] + money[-1]) * S + max(``money``)) *
+        ``lcm``, which bound every value formed.
+        """
+        if not curves:
+            return np.zeros(len(which), dtype=dtype)
+        scale = curves[0].scale
+        first, stop, d_met, base, saturation, ceiling = np.array(
+            [(c.first, c.stop, c.d_met, c.base, c.saturation, c.ceiling)
+             for c in curves], dtype=dtype)[which].T
+        out = ceiling.copy()
+        # below its saturation a curve is not empty, and its walk ends in
+        # a position in [first, stop)
+        live = np.flatnonzero(money < saturation)
+        spent = money[live] + base[live]  # as the family counts it
+        family_money = np.array(self.money, dtype=dtype)
+        p = np.searchsorted(family_money, spent // scale, "right") - 1
+        p = np.minimum(np.maximum(p, first[live].astype(np.int64)),
+                       stop[live].astype(np.int64) - 1)
+        out[live] = ((np.array(self.before, dtype=dtype)[p] * scale
+                      - d_met[live]) * self.lcm
+                     + (spent - family_money[p] * scale)
+                     * np.array(self.ratios, dtype=dtype)[p])
+        return out
 
 
 class ServeCurve:

@@ -5,6 +5,7 @@ import csv
 import json
 import random
 from fractions import Fraction
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from mongecfl import cli
 from mongecfl import io as mio
 from mongecfl.cli import _ratio, main
+from mongecfl.exact import Solution
 from mongecfl.generate import random_monge_instance, random_two_class_instance
 from mongecfl.model import INF, Client, Facility, Instance, check_monge_full
 
@@ -155,6 +157,35 @@ def test_solve_verify_with_oracle_over_demand_cap(tmp_path, capsys):
                          "--verify-with-oracle")
     assert code == 1 and out == ""
     assert one_line_error(err) and "oracle" in err
+
+
+def opens_both(inst):
+    """ref1 served by both facilities: cost 3 + 10 + 2 + 3 = 18, against
+    the optimum 11."""
+    return Solution.from_served(inst, [(1, 1, 2), (2, 2, 3)])
+
+
+@pytest.mark.parametrize("algorithm, solver, wrap", [
+    ("exact", "solve_exact", lambda real: lambda inst: opens_both(inst)),
+    ("fptas", "run_fptas", lambda real: lambda inst, eps: replace(
+        real(inst, eps), solution=opens_both(inst))),
+])
+def test_solve_verify_with_oracle_fails_a_bad_ratio(tmp_path, capsys,
+                                                    monkeypatch, algorithm,
+                                                    solver, wrap):
+    monkeypatch.setattr(cli, solver, wrap(getattr(cli, solver)))
+    out_path = tmp_path / "sol.json"
+    code, out, err = run(capsys, "solve", "--input", write_ref1(tmp_path),
+                         "--algorithm", algorithm, "--epsilon", "1/2",
+                         "--output", str(out_path), "--verify-with-oracle")
+    guarantee = "1" if algorithm == "exact" else "3/2"
+    assert code == 4 and one_line_error(err)
+    assert err == (f"error: cost 18 exceeds the guarantee, {guarantee} times "
+                   "the oracle's optimum 11\n")
+    report = json.loads(out)
+    assert (report["cost"], report["oracle_cost"]) == ("18", "11")
+    assert report["ratio"] == "18/11"
+    assert not out_path.exists()
 
 
 def write_raw(tmp_path, costs, open_cost=1):

@@ -323,6 +323,39 @@ def test_family_cut_matches_integer_walk_on_random_rows():
         _assert_family_cuts(inst, members, rng.choice((1, 2, 6)))
 
 
+def test_family_served_matches_each_cut():
+    """One vectorised read of many cuts at many moneys, in int64 and
+    object dtype, equals each cut's own ``served``, below, at and past
+    its saturation, on random rows of inf, zero, small and 2**64 costs
+    and on an empty class."""
+    rng = random.Random(2121)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        row = [rng.choice((INF, 0, rng.randint(1, 13),
+                           rng.randint(1, 3) * 2**64)) for _ in range(n)]
+        inst = Instance([Facility(0, rng.randint(1, 15))],
+                        [Client(rng.choice((0, rng.randint(1, 7))))
+                         for _ in range(n)], [row])
+        members = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        scale = rng.choice((1, 2, 6))
+        family = ServeFamily(inst, 1, members)
+        total = family.before[-1] * scale
+        curves = [ServeCurve(family, rng.randint(0, total), scale)
+                  for _ in range(rng.randint(1, 5))]
+        which = [rng.randrange(len(curves)) for _ in range(30)]
+        money = [rng.randint(0, curves[w].saturation + 3) for w in which]
+        want = [curves[w].served(x) for w, x in zip(which, money)]
+        dtypes = [object] + [np.int64] * (
+            (family.before[-1] + family.money[-1] + 1) * scale * family.lcm
+            * 2 < 2**63)
+        for dtype in dtypes:
+            got = family.served(curves, np.array(which),
+                                np.array(money, dtype=dtype), dtype)
+            assert got.dtype == dtype and got.tolist() == want
+        assert family.served([], np.array([], dtype=np.int64),
+                             np.array([], dtype=object), object).size == 0
+
+
 def test_serve_schedule_stops_at_infinite_cost():
     from mongecfl.model import Client, Facility, Instance
     inst = Instance([Facility(0, 10)], [Client(2), Client(3)], [[0, INF]])
