@@ -16,13 +16,14 @@ entry by "closed" and by every grid spend pair (s1, s2), then prunes.
 Serve curves.  For one frontier entry and one class, the demand the
 facility serves right to left, up to its capacity, is a piecewise
 linear function f of the money spent, with one breakpoint (money,
-amount) per residual client it reaches: a ``kernel.ServeCurve``, cut
-by bisection from the level's ``kernel.ServeFamily`` of the class.
-Each level builds one family per class and cuts one curve per (entry,
-class); the facility then serves t1 = f1(s1) of class 1 and
-t2 = min(cap - t1, f2(s2)) of class 2.  ``ServeFamily.served``
-evaluates f1 at every (entry, s1) and f2 at every (entry, s2) of the
-level in one numpy call per class.
+amount) per position of the class's clients.  Each level builds one
+``kernel.ServeFamily`` per class and sweeps the met demands of all its
+entries that can open at once; the facility then serves t1 = f1(s1) of
+class 1 and t2 = min(cap - t1, f2(s2)) of class 2.
+``ServeFamily.served`` reads f1 at every (entry, s1) and f2 at every
+(entry, s2) of the level off the sweep, one numpy call per class.  The
+extraction cuts one ``kernel.ServeCurve`` per class of each opened
+facility on the chain of the best cover.
 
 Scaled integers.  A level's frontier holds its demands as integers
 over one scale S, the lcm of their denominators.  Level i divides by
@@ -323,7 +324,9 @@ def _candidates(prev: _Frontier, inst: Instance, partition: ClientPartition,
     lcm = family1.lcm
     unit = scale * lcm  # the scale of the candidates' demands
     step = K * scale  # scaled money one grid step adds
-    # every value formed below, the serves' included, is under top
+    # every value formed below is under top: the sweeps form at most
+    # before[-1] * scale and money[-1] * scale of their family, and
+    # their readings at most (total demand + endpoint) * unit
     top = ((inst.total_demand + facility.capacity + endpoint
             + max(family1.money[-1], family2.money[-1])) * unit
            + 3 * endpoint)
@@ -342,23 +345,21 @@ def _candidates(prev: _Frontier, inst: Instance, partition: ClientPartition,
         steps = steps[can_open]
 
     def spends(budget, family, met):
-        """The entries' curves of one class and their numbers of spends:
-        up to the saturation money rounded up to the grid, within the
-        endpoint and the steps."""
-        curves = [ServeCurve(family, d, scale)
-                  for d in met[can_open].tolist()]
-        saturation = np.array([c.saturation for c in curves], dtype=dtype)
-        return curves, np.minimum(np.minimum(
-            (endpoint - budget[can_open]) // K, -(-saturation // step)),
+        """The entries' walks of one class and their numbers of spends:
+        up to the saturation money (all a walk spends) rounded up to the
+        grid, within the endpoint and the steps."""
+        walks = family.sweep(met[can_open], scale, dtype)
+        return walks, np.minimum(np.minimum(
+            (endpoint - budget[can_open]) // K, -(-walks[1][:, -1] // step)),
             steps).astype(np.int64) + 1
 
-    curves1, n1 = spends(b1, family1, d1)
-    curves2, n2 = spends(b2, family2, d2)
+    walks1, n1 = spends(b1, family1, d1)
+    walks2, n2 = spends(b2, family2, d2)
     # class 1 once per (entry, s1) row, class 2 once per (entry, s2)
     row_entry, j1 = _grid_runs(n1)
-    t1 = family1.served(curves1, row_entry, j1.astype(dtype) * step, dtype)
+    t1 = family1.served(walks1, row_entry, j1.astype(dtype) * step)
     col_entry, col = _grid_runs(n2)
-    f2 = family2.served(curves2, col_entry, col.astype(dtype) * step, dtype)
+    f2 = family2.served(walks2, col_entry, col.astype(dtype) * step)
     # each row's spends s2 with s1 + s2 within the steps, row-major
     width = np.minimum(n2[row_entry],
                        np.minimum(steps, n1 + n2).astype(np.int64)
@@ -476,8 +477,8 @@ def run_two_class_fptas(inst: Instance, partition: ClientPartition,
         if now.opened[row]:
             for sched in _vector_serve(
                     inst, partition, i, (int(prev.d1[p]), int(prev.d2[p])),
-                    prev.scale, int(now.b1[row] - prev.b1[p]),
-                    int(now.b2[row] - prev.b2[p])):
+                    prev.scale, int(now.b1[row]) - int(prev.b1[p]),
+                    int(now.b2[row]) - int(prev.b2[p])):
                 served += [(i, j, amount) for j, amount in sched]
         level, row = level - 1, p
     solution = Solution.from_served(inst, served)

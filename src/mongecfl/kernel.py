@@ -15,21 +15,20 @@ M only picks where the walk starts, and the capacity and the next
 infinite cost where it stops.  The family is read two ways:
 
 * ``ServeCurve`` cuts one walk out of it by bisection, for one M, as
-  Python ints.  Its callers are the FPTAS bound search and
-  ``serve_schedule`` (the FPTAS extraction) and ``demand_met``, which
-  read the families of the last instance through ``serve_family``, and
-  the two-class frontier and extraction in ``extensions``, which build
-  one family per level and class and one cut per frontier entry.
-  ``ServeFamily.served`` reads many cuts at many moneys in one numpy
-  call, with ``ServeCurve.served``'s formula; the frontier evaluates a
-  level's spends with it.
+  Python ints: the one scalar reading.  Its callers are the FPTAS bound
+  search and ``serve_schedule`` (the FPTAS extraction) and
+  ``demand_met``, which read the families of the last instance through
+  ``serve_family``, and the two-class extraction in ``extensions``.
 * ``ServeFamily.sweep`` walks every M of a numpy vector at once, as
-  starts x positions arrays of served demand and spent money; the FPTAS
-  table fill reads the run starts of a level from it, a block at a
-  time.
+  starts x positions arrays of served demand and spent money, the
+  walks' breakpoints.  The FPTAS table fill reads the run starts of a
+  level from it, a block at a time; the two-class frontier sweeps a
+  level's entries once per class, and ``ServeFamily.served`` reads the
+  sweep at every grid spend of every entry.
 
-Everything here is a pure function over an immutable Instance.  Amounts
-are exact: scaled integers inside the walk, and ``Fraction`` at the
+The results here depend only on their arguments, never on what the
+``_families`` cache holds; an Instance is immutable.  Amounts are
+exact: scaled integers inside the walk, and ``Fraction`` at the
 boundary of ``serve_schedule``, ``demand_met`` and
 ``ServeCurve.schedule``.
 """
@@ -204,35 +203,23 @@ class ServeFamily:
                   out=spent[:, 1:])
         return served, spent
 
-    def served(self, curves: Sequence["ServeCurve"], which: np.ndarray,
-               money: np.ndarray, dtype: object) -> np.ndarray:
-        """``curves[which[k]].served(money[k])`` for every k, as one array.
+    def served(self, walks: Tuple[np.ndarray, np.ndarray],
+               which: np.ndarray, money: np.ndarray) -> np.ndarray:
+        """f(money[k]) of the walk ``which[k]`` of ``walks``, a ``sweep``
+        at scale S, for every k, over S * ``lcm``: what
+        ``ServeCurve.served`` gives for that met demand, as one array.
 
-        The curves are cuts of this family at one common scale S, and
-        ``money`` is over S.  ``dtype`` (int64 or object) must hold
-        ``lcm`` and ((before[-1] + money[-1]) * S + max(``money``)) *
-        ``lcm``, which bound every value formed.
+        ``money`` is over S, in the sweep's dtype, which must also hold
+        (before[-1] * S + max(``money``)) * ``lcm``, a bound on every
+        value formed.
         """
-        if not curves:
-            return np.zeros(len(which), dtype=dtype)
-        scale = curves[0].scale
-        first, stop, d_met, base, saturation, ceiling = np.array(
-            [(c.first, c.stop, c.d_met, c.base, c.saturation, c.ceiling)
-             for c in curves], dtype=dtype)[which].T
-        out = ceiling.copy()
-        # below its saturation a curve is not empty, and its walk ends in
-        # a position in [first, stop)
-        live = np.flatnonzero(money < saturation)
-        spent = money[live] + base[live]  # as the family counts it
-        family_money = np.array(self.money, dtype=dtype)
-        p = np.searchsorted(family_money, spent // scale, "right") - 1
-        p = np.minimum(np.maximum(p, first[live].astype(np.int64)),
-                       stop[live].astype(np.int64) - 1)
-        out[live] = ((np.array(self.before, dtype=dtype)[p] * scale
-                      - d_met[live]) * self.lcm
-                     + (spent - family_money[p] * scale)
-                     * np.array(self.ratios, dtype=dtype)[p])
-        return out
+        served, spent = walks
+        # k is the last breakpoint at or below the money, so the money
+        # runs out in position k; past the last position f is flat
+        k = np.count_nonzero(spent[which, 1:] <= money[:, None], axis=1)
+        ratios = np.array([*self.ratios, 0], dtype=spent.dtype)
+        return (served[which, k] * self.lcm
+                + (money - spent[which, k]) * ratios[k])
 
 
 class ServeCurve:

@@ -16,8 +16,10 @@ from mongecfl import cli
 from mongecfl import io as mio
 from mongecfl.cli import _ratio, main
 from mongecfl.exact import Solution
+from mongecfl.extensions import ClientPartition
 from mongecfl.generate import random_monge_instance, random_two_class_instance
 from mongecfl.model import INF, Client, Facility, Instance, check_monge_full
+from test_frontier_equivalence import assert_same_result
 
 
 def run(capsys, *argv):
@@ -73,6 +75,33 @@ def test_solve_fptas_all_zero_level_above_int64(tmp_path, capsys):
                              "--algorithm", algorithm, "--epsilon", "1/2")
         assert (code, err) == (0, ""), algorithm
         assert json.loads(out)["cost"] == "2"
+
+
+def _above_int64_level(tmp_path):
+    """One facility and one client at cost 2**64: the two-class budgets
+    of the opened level are object arrays, over an int64 root level."""
+    inst = Instance([Facility(0, 1)], [Client(1)], [[2**64]])
+    path = tmp_path / "inst.json"
+    mio.save_instance(inst, path)
+    return inst, str(path)
+
+
+def test_solve_two_class_level_above_int64(tmp_path, capsys):
+    """The extraction subtracted an int64 parent budget from an object
+    one, which overflowed into a traceback."""
+    _, path = _above_int64_level(tmp_path)
+    for algorithm in ("fptas", "two-class"):
+        code, out, err = run(capsys, "solve", "--input", path,
+                             "--algorithm", algorithm, "--epsilon", "1/2")
+        assert (code, err) == (0, ""), algorithm
+        assert json.loads(out)["cost"] == "18446744073709551616"
+
+
+def test_two_class_level_above_int64_matches_reference(tmp_path):
+    inst, _ = _above_int64_level(tmp_path)
+    result = assert_same_result(inst, ClientPartition([1], []),
+                                Fraction(1, 2))
+    assert result.solution.total_cost == 2**64
 
 
 def test_solve_fptas_missing_epsilon(tmp_path, capsys):

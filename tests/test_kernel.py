@@ -324,10 +324,10 @@ def test_family_cut_matches_integer_walk_on_random_rows():
 
 
 def test_family_served_matches_each_cut():
-    """One vectorised read of many cuts at many moneys, in int64 and
-    object dtype, equals each cut's own ``served``, below, at and past
-    its saturation, on random rows of inf, zero, small and 2**64 costs
-    and on an empty class."""
+    """One vectorised read of a sweep's walks at many moneys, in int64
+    and object dtype, equals each met demand's own cut ``served``, from
+    0 through each walk's breakpoints to past its saturation, on random
+    rows of inf, zero, small and 2**64 costs and on an empty class."""
     rng = random.Random(2121)
     for _ in range(300):
         n = rng.randint(1, 7)
@@ -340,20 +340,30 @@ def test_family_served_matches_each_cut():
         scale = rng.choice((1, 2, 6))
         family = ServeFamily(inst, 1, members)
         total = family.before[-1] * scale
-        curves = [ServeCurve(family, rng.randint(0, total), scale)
-                  for _ in range(rng.randint(1, 5))]
-        which = [rng.randrange(len(curves)) for _ in range(30)]
-        money = [rng.randint(0, curves[w].saturation + 3) for w in which]
+        mets = [rng.randint(0, total) for _ in range(rng.randint(1, 5))]
+        curves = [ServeCurve(family, met, scale) for met in mets]
+        which, money = [], []
+        for w, curve in enumerate(curves):
+            walk = ReferenceIntegerServeCurve(inst, 1, members, mets[w],
+                                              scale, family.lcm)
+            points = {0, *walk.money, curve.saturation + 3,
+                      *(rng.randint(0, curve.saturation + 3)
+                        for _ in range(5))}
+            for x in {y + d for y in points for d in (-1, 0, 1) if y + d >= 0}:
+                which.append(w)
+                money.append(x)
         want = [curves[w].served(x) for w, x in zip(which, money)]
         dtypes = [object] + [np.int64] * (
             (family.before[-1] + family.money[-1] + 1) * scale * family.lcm
             * 2 < 2**63)
         for dtype in dtypes:
-            got = family.served(curves, np.array(which),
-                                np.array(money, dtype=dtype), dtype)
+            walks = family.sweep(np.array(mets, dtype=dtype), scale, dtype)
+            got = family.served(walks, np.array(which),
+                                np.array(money, dtype=dtype))
             assert got.dtype == dtype and got.tolist() == want
-        assert family.served([], np.array([], dtype=np.int64),
-                             np.array([], dtype=object), object).size == 0
+        none = family.sweep(np.array([], dtype=object), scale, object)
+        assert family.served(none, np.array([], dtype=np.int64),
+                             np.array([], dtype=object)).size == 0
 
 
 def test_serve_schedule_stops_at_infinite_cost():
