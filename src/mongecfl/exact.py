@@ -9,21 +9,25 @@ guarantees those are the next u units in client order, so a choice moves
 the state from S to S + u.
 
 Levels are filled bottom-up, i = m down to 1, keeping two value rows and
-one compact choice row per level.  For each (i, S) the sweep takes
-u = 1, 2, ... one unit at a time and carries the transport cost, so each
-u costs O(1); it stops at the capacity, at the last unit, or before the
-first unit whose cost from i is infinite.  Ties keep the facility
-closed; otherwise the smallest u with a strictly lower cost wins.  Level
-i only covers T - (U_i + ... + U_m) <= S <= U_1 + ... + U_{i-1} (T the
-total demand, U the capacities): below that range the value is infinite,
-and the optimal path from S = 0 never goes above it.  O(m T U_max) time,
-O(T) per choice row, and no recursion, so m is not bounded by Python's
-recursion limit.
+one compact choice row per level.  With P the prefix sums of the unit
+costs from i, serving u units from state S costs open + P[S+u] - P[S] +
+next[S+u], so the best u is the leftmost minimum of P[x] + next[x] over
+the window S < x <= min(S + capacity, first unit at or after S whose
+cost from i is infinite).  Both ends of the window only move right as S
+grows, so a monotone deque (Wagelmans, van Hoesel & Kolen 1992) gives a
+whole level in O(T).  Ties keep the facility closed; otherwise the
+smallest u with a strictly lower cost wins.  Level i only covers
+T - (U_i + ... + U_m) <= S <= U_1 + ... + U_{i-1} (T the total demand,
+U the capacities): below that range the value is infinite, and the
+optimal path from S = 0 never goes above it.  O(m T) time, O(T) per
+choice row, and no recursion, so m is not bounded by Python's recursion
+limit.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -80,9 +84,9 @@ class Solution:
 class ExactSolver:
     """Bottom-up evaluation of the (i, S) recurrence.
 
-    Each call to ``solve`` runs its own sweep; ``states`` and ``u_steps``
-    count the (i, S) states and the u values (finite-cost serves) that
-    the last one swept.
+    Each call to ``solve`` runs its own sweep; ``states`` counts the
+    (i, S) states of the last one and ``u_steps`` the finite-cost serves
+    the recurrence ranges over in them.
     """
 
     def __init__(self, inst: Instance, demand_cap: int = DEFAULT_DEMAND_CAP):
@@ -120,21 +124,38 @@ class ExactSolver:
             if unit_cost[t] == INF:
                 end = t
             finite_end[t] = end
+        # prefix[x]: cost of units 0..x-1 with INF counted as 0; no window
+        # below crosses an INF unit, so its differences are exact there
+        prefix = [0, *accumulate(0 if c == INF else c for c in unit_cost)]
+        keys = [p + v for p, v in zip(prefix, nxt)]
         row: List[Cost] = [INF] * (total + 1)
         choice = array("q", bytes(8 * max(0, hi - lo + 1)))
         open_cost, cap = f.open_cost, f.capacity
+        # serving u = x - S units costs open_cost + keys[x] - prefix[S], for
+        # x in the window (S, stop]; both ends only move right, so the
+        # deque holds the window's x in order with nondecreasing keys (a
+        # new x pops only strictly larger ones), and its front is the
+        # leftmost minimum, the smallest best u
+        window: deque = deque()
+        pushed = lo
         steps = 0
         for S in range(lo, hi + 1):
+            stop = min(S + cap, finite_end[S])
+            while pushed < stop:
+                pushed += 1
+                key = keys[pushed]
+                while window and keys[window[-1]] > key:
+                    window.pop()
+                window.append(pushed)
+            while window and window[0] <= S:
+                window.popleft()
             best = nxt[S]
             best_u = 0
-            stop = min(S + cap, finite_end[S])
-            cost = open_cost
-            for t in range(S, stop):
-                cost += unit_cost[t]
-                cand = cost + nxt[t + 1]
+            if window:
+                cand = open_cost + keys[window[0]] - prefix[S]
                 if cand < best:
                     best = cand
-                    best_u = t + 1 - S
+                    best_u = window[0] - S
             steps += stop - S
             row[S] = best
             choice[S - lo] = best_u

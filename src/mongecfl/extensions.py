@@ -144,10 +144,8 @@ def check_windowed_monge(inst: Instance,
     Requires every client to carry monotone release dates and deadlines
     (otherwise the instance needs the two-class solver and a ValueError
     says so).  Checks that costs are infinite exactly outside the
-    windows, then runs the full Monge check.  Under such windows no
-    quadruple with an infinite entry can violate the inequality (its
-    right-hand side is finite only if its left-hand side is), so the
-    witness is the first all-finite violating quadruple.
+    windows, then runs the full Monge check, which decides such
+    staircases from consecutive rows (see ``check_monge_full``).
     """
     releases = []
     deadlines = []

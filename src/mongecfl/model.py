@@ -175,17 +175,35 @@ def check_monge_full(costs: Sequence[Sequence[Cost]]) -> Optional[MongeWitness]:
     """Check the Monge property; None means the matrix is Monge.
 
     Returns the lexicographically first (h, i, j, k) witness otherwise.
-    Each row pair (h, i) is decided by one right-to-left pass
-    (``_pair_violated``), and only the first violating pair is rescanned
-    quadruple by quadruple for its witness.  Without INF entries the
-    (h, i) inequality is the sum of the adjacent-row ones between h and
-    i (Burkard, Klinz & Rudolf 1996), so the m - 1 adjacent pairs decide
-    a Monge matrix in O(mn); with INF entries, or once an adjacent pair
-    is violated, every pair is scanned in O(m^2 n).
+    Each row pair is decided by one right-to-left pass
+    (``_pair_violated``).  The m - 1 or fewer consecutive pairs of rows
+    with a finite entry decide the matrix in O(mn); only when one of
+    them is violated are all pairs scanned, in O(m^2 n), and the first
+    violating pair rescanned quadruple by quadruple for its witness.
+
+    Why consecutive rows suffice (Burkard, Klinz & Rudolf 1996 for
+    finite matrices).  A quadruple violates only if its right-hand side
+    c[h][k] + c[i][j] is finite, so rows with no finite entry never
+    take part; drop them.  Let row r's finite entries lie in columns
+    a_r..b_r.  If consecutive rows r < r' pass, then a_r <= a_r' (else
+    j = a_r', k = a_r violates with an INF left-hand side) and b_r <=
+    b_r' (else j = b_r', k = b_r does).  Now take h < i and j < k with
+    c[h][k] and c[i][j] finite, and the kept rows h = r_0 < ... < r_p =
+    i.  Downward from i: c[r_t][b_r_t] is finite with b_r_t >= b_h >= k
+    > j, so pair (r_t, r_t+1) passing at (j, b_r_t) makes c[r_t][j]
+    finite.  Upward from h: a_r_t <= a_i <= j < k, so pair (r_t-1, r_t)
+    passing at (a_r_t, k) makes c[r_t][k] finite.  Every 2x2 quadruple
+    (r_t, r_t+1, j, k) is then finite and holds, and their sum
+    telescopes to the (h, i, j, k) inequality.  INF holes inside a_r..b_r
+    and decreasing ends need no check of their own: a pass rejects the
+    ones that matter.  This decides finite matrices, lot-sizing
+    reductions, windowed instances and each class of a two-class
+    partition in O(mn).
     """
     m, n = len(costs), _width(costs)
-    if not any(INF in row for row in costs) and not any(
-            _pair_violated(costs[h], costs[h + 1], n) for h in range(m - 1)):
+    rows = [row for row in costs if row.count(INF) < n]
+    if not any(_pair_violated(upper, lower, n)
+               for upper, lower in zip(rows, rows[1:])):
         return None
     for h in range(m):
         for i in range(h + 1, m):

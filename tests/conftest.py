@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import runpy
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -758,6 +759,30 @@ class ReferenceExactSolver:
         flow = Flow(entries, cost - sum(inst.facilities[i - 1].open_cost
                                         for i in open_facilities))
         return Solution(open_facilities, flow, cost)
+
+
+def reference_level(solver, i: int, nxt: List[Cost]):
+    """Row i of ``solver``'s DP from row i + 1, sweeping u = 1, 2, ...
+    one unit at a time (reference for ``ExactSolver._level``): the row,
+    the chosen u per S of level i's range, and the serves swept."""
+    total, lo, hi = solver.total, solver._low[i], solver._reach[i]
+    f = solver.inst.facilities[i - 1]
+    unit_cost = [solver.inst.costs[i - 1][k] for k in solver._unit_client]
+    row: List[Cost] = [INF] * (total + 1)
+    choice = array("q")
+    steps = 0
+    for S in range(lo, hi + 1):
+        best, best_u, cost = nxt[S], 0, f.open_cost
+        t = S
+        while t < min(S + f.capacity, total) and unit_cost[t] != INF:
+            cost += unit_cost[t]
+            if cost + nxt[t + 1] < best:
+                best, best_u = cost + nxt[t + 1], t + 1 - S
+            t += 1
+        steps += t - S
+        row[S] = best
+        choice.append(best_u)
+    return row, choice, steps
 
 
 def reference_check_monge_full(costs) -> Optional[MongeWitness]:

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import certify_solution, state_instance
-from mongecfl.exact import DemandCapExceeded, Solution, solve_exact
+from conftest import (ReferenceExactSolver, certify_solution,
+                      reference_level, state_instance)
+from mongecfl.exact import (DemandCapExceeded, ExactSolver, Solution,
+                            solve_exact)
 from mongecfl.generate import random_lot_sizing, random_monge_instance
 from mongecfl.kernel import FULL, shared
-from mongecfl.model import Client, Facility, Instance, is_inf
+from mongecfl.model import INF, Client, Facility, Instance, is_inf
 from mongecfl.oracle import brute_force_optimum
 from mongecfl.reductions import lot_sizing_to_cfl
 
@@ -138,3 +140,115 @@ def test_many_facilities_no_recursion_limit():
     assert solution.open == {m - 2, m - 1, m}
     assert solution.assignment.entries == {(m - 2, 1): 1, (m - 1, 2): 1,
                                            (m, 3): 1}
+
+
+def _levels(solver):
+    """Every level's (row, choice), i = m down to 1, as ``solve`` builds
+    them."""
+    row = [INF] * solver.total + [0]
+    levels = {}
+    for i in range(solver.inst.m, 0, -1):
+        row, choice = solver._level(i, row)
+        levels[i] = row, choice
+    return levels
+
+
+def _serve_count(solver):
+    """The finite-cost serves of every state, counted one by one."""
+    inst, total = solver.inst, solver.total
+    count = 0
+    for i in range(1, inst.m + 1):
+        cap = inst.facilities[i - 1].capacity
+        for S in range(solver._low[i], solver._reach[i] + 1):
+            t = S
+            while (t < min(S + cap, total)
+                   and not is_inf(inst.cost(i, solver._unit_client[t] + 1))):
+                t += 1
+            count += t - S
+    return count
+
+
+def assert_levels_match_reference(inst):
+    """Rows and choices on every state the reference visits, the state
+    and serve counts, and the solution."""
+    solver = ExactSolver(inst)
+    got = solver.solve()
+    reference = ReferenceExactSolver(inst)
+    want = reference.solve()
+    assert (got.total_cost, got.open, got.assignment.entries) == \
+        (want.total_cost, want.open, want.assignment.entries)
+    assert solver.states == sum(
+        max(0, solver._reach[i] - solver._low[i] + 1)
+        for i in range(1, inst.m + 1))
+    assert solver.u_steps == _serve_count(solver)
+    levels = _levels(solver)
+    first_unit = [0]
+    for c in inst.clients:
+        first_unit.append(first_unit[-1] + c.demand)
+    for (i, j, d), value in reference._memo.items():
+        S = first_unit[j] - d
+        row, choice = levels[i]
+        assert row[S] == value
+        if solver._low[i] <= S <= solver._reach[i]:
+            assert choice[S - solver._low[i]] == \
+                (reference._choice[i, j, d] or 0)
+        else:
+            assert is_inf(value)
+    return got
+
+
+@pytest.mark.parametrize("horizon, max_demand, max_capacity", [
+    (40, 3, 8), (40, 3, 600), (60, 2, 60), (60, 2, 600), (80, 2, 20),
+    (80, 1, 600)])
+def test_levels_match_reference_on_long_lot_sizing(horizon, max_demand,
+                                                   max_capacity):
+    # demands small enough for the top-down reference
+    rng = random.Random(horizon * 1000 + max_capacity)
+    ls = random_lot_sizing(rng, horizon, max_cost=200, max_demand=max_demand,
+                           max_capacity=max_capacity,
+                           feasible=horizon != 40 or max_capacity == 600)
+    assert_levels_match_reference(lot_sizing_to_cfl(ls))
+
+
+@pytest.mark.parametrize("horizon, max_capacity", [(60, 600), (80, 60)])
+def test_levels_match_unit_sweep(horizon, max_capacity):
+    """Windows of hundreds of units, against the sweep that walks every
+    serve size."""
+    rng = random.Random(horizon + max_capacity)
+    inst = lot_sizing_to_cfl(random_lot_sizing(
+        rng, horizon, max_cost=200, max_demand=30, max_capacity=max_capacity,
+        feasible=True))
+    solver = ExactSolver(inst)
+    solver.solve()
+    u_steps = solver.u_steps
+    row = [INF] * solver.total + [0]
+    steps = 0
+    for i, (got_row, got_choice) in sorted(_levels(solver).items(),
+                                           reverse=True):
+        row, choice, count = reference_level(solver, i, row)
+        assert (got_row, got_choice) == (row, choice)
+        steps += count
+    assert u_steps == steps > 500_000
+
+
+def test_zero_cost_ties_keep_closed_then_smallest_u():
+    # every finite serve costs 0: ties everywhere, so a facility stays
+    # closed when it can, and otherwise serves the fewest units that
+    # leave the rest servable
+    rng = random.Random(7001)
+    opened = 0
+    for _ in range(30):
+        ls = random_lot_sizing(rng, rng.randint(2, 12), max_cost=0,
+                               max_demand=3, max_holding=rng.randint(0, 1),
+                               max_capacity=rng.randint(1, 9), feasible=True)
+        opened += len(assert_levels_match_reference(
+            lot_sizing_to_cfl(ls)).open)
+    assert opened > 30
+    # facility 3 alone cannot serve all 6 units, so facility 2 opens for
+    # the smallest u of equal cost, 2, and facility 1 stays closed on
+    # the tie
+    inst = Instance([Facility(0, 6), Facility(0, 6), Facility(0, 4)],
+                    [Client(2), Client(2), Client(2)], [[0, 0, 0]] * 3)
+    solution = assert_levels_match_reference(inst)
+    assert solution.open == {2, 3}
+    assert solution.assignment.entries == {(2, 1): 1, (3, 2): 1, (3, 3): 1}

@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_check_monge_full
+from mongecfl import model
 from mongecfl.exact import solve_exact
 from mongecfl.extensions import ClientPartition, run_two_class_fptas
 from mongecfl.fptas import run_fptas
-from mongecfl.generate import monge_cost_matrix
+from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
+                               random_two_class_instance,
+                               random_windowed_instance)
 from mongecfl.model import (INF, Client, Facility, Infeasible, Instance,
                             MongeWitness, check_monge_full, is_inf,
                             validate_instance)
+from mongecfl.reductions import LotSizingInstance, lot_sizing_to_cfl
 
 
 def test_facility_invariants():
@@ -181,6 +185,129 @@ def test_adjacent_agrees_with_full_on_finite(costs):
     """On finite entries the adjacent-pair pass gives the quadruple
     scan's answer, witness included."""
     assert check_monge_full(costs) == reference_check_monge_full(costs)
+
+
+_NO = [INF, INF, INF, INF]
+
+
+@pytest.mark.parametrize("costs, expected", [
+    # rows with no finite entry, at the top, in the middle and at the end
+    ([_NO, [0, 1, 3, 6], [INF, 0, 1, 3]], None),
+    ([[0, 1, 3, 6], _NO, [INF, 0, 1, 3], _NO], None),
+    ([[0, 1, 3, 6], [INF, 0, 1, 3], _NO, _NO], None),
+    # a violation across a row with no finite entry
+    ([[0, 2, 1, 5], _NO, [0, 1, 2, 5]], (1, 3, 1, 3, 2, 1)),
+    ([[2, 1], [INF, INF], [INF, INF], [1, 2]], (1, 4, 1, 2, 4, 2)),
+    # finite blocks whose ends decrease: INF lhs against a finite rhs
+    ([[0, 1, 2, INF], [0, 1, INF, INF]], (1, 2, 1, 3, INF, 2)),
+    ([[0, 1, 2, 3], [0, 1, 2, INF]], (1, 2, 1, 4, INF, 3)),
+    ([[INF, 0, 1, 2], [0, 1, 2, 3]], (1, 2, 1, 2, INF, 0)),
+    # an INF hole inside a finite block
+    ([[0, INF, 1, 2], [INF, INF, 0, 1]], None),
+    ([[0, INF, 1, 2], [INF, 0, 0, 1]], (1, 2, 2, 3, INF, 1)),
+    ([[0, 1, 2, 3], [INF, 0, INF, 1], [INF, INF, INF, 0]],
+     (1, 2, 2, 3, INF, 2)),
+    ([[0, 1, 2, 3], _NO, [0, INF, 1, 2], [INF, INF, 0, 1]],
+     (1, 3, 1, 2, INF, 1)),
+    # Monge staircases and non-Monge ones, whose witness the all-pairs
+    # scan finds (the last one's first witness is not on an adjacent
+    # pair)
+    ([[0, 1, 3], [INF, 0, 1], [INF, INF, 0]], None),
+    ([[0, 1, 3], [INF, 0, 2], [INF, INF, 0]], None),
+    ([[0, 1, 3], [INF, 0, 3], [INF, INF, 0]], (1, 2, 2, 3, 4, 3)),
+    ([[0, 1, 3, 4], [INF, 0, 1, 2], [INF, INF, 0, 3]], (1, 3, 3, 4, 6, 4)),
+])
+def test_monge_with_inf_rows_holes_and_ends(costs, expected):
+    """Against the quadruple scan, witness included."""
+    witness = check_monge_full(costs)
+    assert witness == reference_check_monge_full(costs)
+    if expected is None:
+        assert witness is None
+    else:
+        assert (witness.h, witness.i, witness.j, witness.k, witness.lhs,
+                witness.rhs) == expected
+
+
+def test_monge_on_zero_capacity_orders():
+    """Zero-capacity orders and orders after the last demand reduce to
+    rows with no finite entry."""
+    ls = LotSizingInstance(6, [(3, 4), (1, 0), (2, 5), (4, 0), (1, 3),
+                               (0, 2)],
+                           [(1, 0, 2), (2, 0, 0), (3, 0, 3), (4, 0, 1),
+                            (5, 0, 0), (6, 0, 0)], [1, 2, 1, 3, 1])
+    costs = lot_sizing_to_cfl(ls).costs
+    assert [row.count(INF) for row in costs] == [0, 3, 1, 3, 3, 3]
+    assert check_monge_full(costs) is None
+    rng = random.Random(31)
+    for _ in range(300):
+        ls = random_lot_sizing(rng, rng.randint(1, 9), max_capacity=2)
+        costs = lot_sizing_to_cfl(ls).costs
+        assert check_monge_full(costs) is None
+        assert reference_check_monge_full(costs) is None
+
+
+def _staircase(rng, m, n):
+    """A Monge matrix cut to finite blocks [a_r, b_r]: ends drawn sorted
+    or not, some rows with no finite entry, then up to two entries
+    moved (INF holes included)."""
+    costs = monge_cost_matrix(rng, m, n, 12)
+    starts = [rng.randint(0, n - 1) for _ in range(m)]
+    ends = [rng.randint(0, n - 1) for _ in range(m)]
+    if rng.random() < 0.7:
+        starts.sort()
+        ends.sort()
+    for r, row in enumerate(costs):
+        if rng.random() < 0.15:
+            row[:] = [INF] * n
+        else:
+            row[:] = [c if starts[r] <= j <= max(starts[r], ends[r]) else INF
+                      for j, c in enumerate(row)]
+    for _ in range(rng.randint(0, 2)):
+        h, k = rng.randrange(m), rng.randrange(n)
+        costs[h][k] = rng.choice((INF, 0, costs[h][k] + 1))
+    return costs
+
+
+def test_monge_staircases_match_reference():
+    rng = random.Random(32)
+    found = 0
+    for _ in range(4000):
+        costs = _staircase(rng, rng.randint(1, 7), rng.randint(1, 7))
+        witness = check_monge_full(costs)
+        assert witness == reference_check_monge_full(costs)
+        found += witness is not None
+    assert 800 < found < 3200
+
+
+def test_monge_check_reads_adjacent_rows_only(monkeypatch):
+    """A Monge matrix is decided from its consecutive rows with a finite
+    entry: at most m - 1 row-pair passes on lot-sizing reductions,
+    windowed instances and each class of a two-class instance."""
+    calls = []
+    original = model._pair_violated
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(model, "_pair_violated", counted)
+    rng = random.Random(33)
+    matrices = [lot_sizing_to_cfl(random_lot_sizing(
+        rng, horizon, max_cost=200, max_capacity=600, feasible=True)).costs
+        for horizon in (160, 320)]
+    for _ in range(20):
+        matrices.append(random_windowed_instance(
+            rng, rng.randint(2, 12), rng.randint(2, 12)).costs)
+        inst, s1, s2 = random_two_class_instance(rng, rng.randint(2, 10),
+                                                 rng.randint(2, 12))
+        for cls in (s1, s2):
+            if cls:
+                matrices.append([[row[j - 1] for j in cls]
+                                 for row in inst.costs])
+    for costs in matrices:
+        calls.clear()
+        assert check_monge_full(costs) is None
+        assert len(calls) <= len(costs) - 1
 
 
 # Small in-range instances with up to two fields replaced by anything:
