@@ -21,7 +21,9 @@ T - (U_i + ... + U_m) <= S <= U_1 + ... + U_{i-1} (T the total demand,
 U the capacities): below that range the value is infinite, and the
 optimal path from S = 0 never goes above it.  O(m T) time, O(T) per
 choice row, and no recursion, so m is not bounded by Python's recursion
-limit.
+limit.  Extraction replays the choices from S = 0: facility i serves
+the unit range [S, S + u) of its choice u, which ``greedy_serve`` splits
+into runs of one client each.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
-from .kernel import FULL, Amount, Flow, greedy_serve, shared
+from .kernel import FULL, Amount, Flow, shared
 from .model import INF, Cost, Instance, is_inf
 
 DEFAULT_DEMAND_CAP = 10**6
@@ -79,6 +81,15 @@ class Solution:
         opening = sum(inst.facilities[i - 1].open_cost for i in opened)
         return cls(opened, Flow(entries, shared(transport)),
                    shared(opening + transport))
+
+
+def greedy_serve(unit_client: List[int], start: int,
+                 u: int) -> List[Tuple[int, int]]:
+    """(client, units) for the units start..start + u - 1 in serving
+    order, one pair per run of equal clients, clients 1-based: what a
+    facility that serves those units serves of each client."""
+    return [(k + 1, sum(1 for _ in run))
+            for k, run in groupby(unit_client[start:start + u])]
 
 
 class ExactSolver:
@@ -176,20 +187,13 @@ class ExactSolver:
             return Solution(frozenset(), Flow({}, INF), INF)
 
         schedule: List[Tuple[int, int, int]] = []
-        i, j, d = 1, 1, inst.demand(1)
         served = 0
-        while i <= inst.m and j <= inst.n:
+        for i in range(1, inst.m + 1):
             u = choices[i][served - self._low[i]]
             if u:
-                serve = greedy_serve(inst, i, u, j, d)
-                ell, left = serve.next_client, serve.demand_remaining
-                for k in range(j, min(ell, inst.n) + 1):
-                    units = d if k == j else inst.demand(k)
-                    schedule.append((i, k, units - left if k == ell
-                                     else units))
-                j, d = ell, left
+                schedule.extend((i, j, units) for j, units in
+                                greedy_serve(self._unit_client, served, u))
                 served += u
-            i += 1
         return Solution.from_served(inst, schedule)
 
 

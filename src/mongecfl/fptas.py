@@ -81,9 +81,7 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from .exact import Solution
-# demand_met stays a name here: perfbench/spans.py counts calls to it
-from .kernel import (Amount, ServeCurve, demand_met, serve_family,
-                     serve_schedule)
+from .kernel import Amount, ServeCurve, serve_family, serve_schedule
 from .model import Infeasible, Instance, is_inf
 
 Rational = Union[int, float, str, Fraction]
@@ -122,25 +120,36 @@ class BudgetGrid:
         return b // self.K
 
 
+def demand_met(inst: Instance, i: int, met: int, scale: int, ell: int,
+               ) -> Tuple[int, int]:
+    """One step of the bound recurrence: the demand facilities i..m
+    meet after i+1..m met ``met`` (over ``scale``), as (met, scale) in
+    lowest terms.  Facility i adds nothing unless ell covers its opening
+    cost, and then serves right to left on the money left."""
+    money = ell - inst.facilities[i - 1].open_cost
+    if money < 0:
+        return met, scale
+    family = serve_family(inst, i)
+    served = ServeCurve(family, met, scale).served(money * scale)
+    met, scale = met * family.lcm + served, scale * family.lcm
+    g = math.gcd(met, scale)
+    return met // g, scale // g
+
+
 def max_contribution_feasible(inst: Instance, ell: int,
                               ) -> Tuple[bool, Dict[int, Amount]]:
     """Can every facility contribute at most ell to the total cost?
 
-    Runs the right-to-left bound recurrence; returns the feasibility
-    flag and the per-facility cumulative values (index m+1 down to 1).
+    Runs the right-to-left bound recurrence, one ``demand_met`` step per
+    facility; returns the feasibility flag and the per-facility
+    cumulative values (index m+1 down to 1).
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     met, scale = 0, 1  # the demand met so far, over its smallest scale
     values: Dict[int, Amount] = {inst.m + 1: Fraction(0)}
     for i in range(inst.m, 0, -1):
-        money = ell - inst.facilities[i - 1].open_cost
-        if money >= 0:  # facility i can open
-            family = serve_family(inst, i)
-            served = ServeCurve(family, met, scale).served(money * scale)
-            met, scale = met * family.lcm + served, scale * family.lcm
-            g = math.gcd(met, scale)
-            met, scale = met // g, scale // g
+        met, scale = demand_met(inst, i, met, scale, ell)
         values[i] = Fraction(met, scale)
     return met >= inst.total_demand * scale, values
 

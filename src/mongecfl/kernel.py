@@ -1,9 +1,6 @@
 """Greedy primitives shared by the solvers.
 
 The Monge property lets every dynamic program assign demand greedily.
-``greedy_serve`` walks clients left to right from a given unit; the
-exact DP's extraction uses it.
-
 The one right-to-left serve walk is ``ServeFamily``: an open facility
 serves the demand later facilities left, from the last client backward,
 until its money or its capacity runs out or it reaches an infinite
@@ -16,8 +13,8 @@ infinite cost where it stops.  The family is read two ways:
 
 * ``ServeCurve`` cuts one walk out of it by bisection, for one M, as
   Python ints: the one scalar reading.  Its callers are the FPTAS bound
-  search and ``serve_schedule`` (the FPTAS extraction) and
-  ``demand_met``, which read the families of the last instance through
+  search step ``fptas.demand_met`` and ``serve_schedule`` (the FPTAS
+  extraction), which read the families of the last instance through
   ``serve_family``, and the two-class extraction in ``extensions``.
 * ``ServeFamily.sweep`` walks every M of a numpy vector at once, as
   starts x positions arrays of served demand and spent money, the
@@ -29,8 +26,7 @@ infinite cost where it stops.  The family is read two ways:
 The results here depend only on their arguments, never on what the
 ``_families`` cache holds; an Instance is immutable.  Amounts are
 exact: scaled integers inside the walk, and ``Fraction`` at the
-boundary of ``serve_schedule``, ``demand_met`` and
-``ServeCurve.schedule``.
+boundary of ``serve_schedule`` and ``ServeCurve.schedule``.
 """
 
 from __future__ import annotations
@@ -75,41 +71,6 @@ class Flow:
 
     entries: Dict[Tuple[int, int], Amount]
     cost: Union[Amount, float]  # rational, or INF if an inf edge carries flow
-
-
-@dataclass(frozen=True)
-class GreedyServeResult:
-    next_client: int        # first client with demand left, n+1 if none
-    demand_remaining: int   # units still unserved at next_client
-    transport_cost: Cost
-
-
-def greedy_serve(inst: Instance, i: int, u: int, j: int, d: int) -> GreedyServeResult:
-    """Serve u units from facility i, starting at client j with d units left.
-
-    The units fill clients j, j + 1, ... in order.  Returns the first
-    client left with unserved demand (n + 1 if none), how much of it is
-    unserved, and the transport cost of the u units.  The cost is INF if
-    any positively served client has infinite cost from i.
-    """
-    if not (1 <= i <= inst.m and 1 <= j <= inst.n):
-        raise ValueError("facility or client index out of range")
-    if not (0 <= d <= inst.demand(j)):
-        raise ValueError("d must be between 0 and the demand of client j")
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    cost: Cost = 0
-    for k in range(j, inst.n + 1):
-        left = d if k == j else inst.demand(k)
-        take = min(u, left)
-        if take > 0:  # INF * 0 would be nan
-            cost += inst.cost(i, k) * take
-        u -= take
-        if take < left:
-            return GreedyServeResult(k, left - take, cost)
-    if u:
-        raise ValueError("u exceeds the remaining demand")
-    return GreedyServeResult(inst.n + 1, 0, cost)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -328,24 +289,6 @@ def serve_family(inst: Instance, i: int) -> ServeFamily:
     return family
 
 
-def _open_curve(inst: Instance, i: int, d_met: Amount, budget: Amount,
-                ) -> Optional[Tuple[ServeCurve, int]]:
-    """Facility i's curve over all clients and the money it has left
-    once open (scaled by the curve's scale); None if it cannot open."""
-    if d_met < 0 or budget < 0:
-        raise ValueError("d_met and budget must be nonnegative")
-    if d_met > inst.total_demand:
-        raise ValueError("d_met must not exceed the total demand")
-    money = budget - inst.facilities[i - 1].open_cost
-    if money < 0:
-        return None
-    family = serve_family(inst, i)
-    scale = math.lcm(d_met.denominator, money.denominator)
-    curve = ServeCurve(family, d_met.numerator * (scale // d_met.denominator),
-                       scale)
-    return curve, money.numerator * (scale // money.denominator)
-
-
 def serve_schedule(inst: Instance, i: int, d_met: Amount, budget: Amount,
                    ) -> Tuple[Fraction, List[Tuple[int, Fraction]]]:
     """Open facility i and serve residual demand right-to-left on a budget.
@@ -356,20 +299,15 @@ def serve_schedule(inst: Instance, i: int, d_met: Amount, budget: Amount,
     or whose cost from i is infinite; fractional amounts are exact
     rationals.
     """
-    walk = _open_curve(inst, i, d_met, budget)
-    if walk is None:
+    if d_met < 0 or budget < 0:
+        raise ValueError("d_met and budget must be nonnegative")
+    if d_met > inst.total_demand:
+        raise ValueError("d_met must not exceed the total demand")
+    money = budget - inst.facilities[i - 1].open_cost
+    if money < 0:
         return Fraction(0), []
-    curve, money = walk
-    served = curve.served(money)
+    scale = math.lcm(d_met.denominator, money.denominator)
+    curve = ServeCurve(serve_family(inst, i),
+                       d_met.numerator * (scale // d_met.denominator), scale)
+    served = curve.served(money.numerator * (scale // money.denominator))
     return Fraction(served, curve.unit), curve.schedule(served)
-
-
-def demand_met(inst: Instance, i: int, d_met: Amount, budget: Amount,
-               ) -> Fraction:
-    """Demand facility i can meet with the given budget, after d_met was
-    already met right-to-left by later facilities.  Never exceeds U_i."""
-    walk = _open_curve(inst, i, d_met, budget)
-    if walk is None:
-        return Fraction(0)
-    curve, money = walk
-    return Fraction(curve.served(money), curve.unit)

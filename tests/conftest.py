@@ -18,7 +18,7 @@ from mongecfl.exact import DEFAULT_DEMAND_CAP, DemandCapExceeded, Solution
 from mongecfl.extensions import TwoClassResult, _vector_serve
 from mongecfl.fptas import (BudgetGrid, ValueTable, find_budget_bound,
                             serve_everything_costs)
-from mongecfl.kernel import Amount, Flow, cost_lcm, demand_met, greedy_serve
+from mongecfl.kernel import Amount, Flow, cost_lcm, serve_schedule
 from mongecfl.model import (INF, Client, Cost, Facility, Infeasible,
                             Instance, MongeWitness, is_inf)
 from mongecfl.reductions import LotSizingInstance
@@ -147,6 +147,14 @@ def vector_demand_met(inst: Instance, partition, i: int, d_met,
     return tuple(sum((amount for _, amount in schedule), Fraction(0))
                  for schedule in _vector_serve(inst, partition, i, d_met, 1,
                                                money1, money2))
+
+
+def demand_met(inst: Instance, i: int, d_met: Amount,
+               budget: Amount) -> Fraction:
+    """Demand facility i can meet with the given budget, after d_met was
+    already met right-to-left by later facilities: the total of its
+    ``serve_schedule``.  Never exceeds U_i."""
+    return serve_schedule(inst, i, d_met, budget)[0]
 
 
 # The ``Fraction`` right-to-left serve walk that the scaled-integer
@@ -699,6 +707,35 @@ class ReferenceExactSolver:
         # best choice per state: None = leave facility i closed, else u
         self._choice: Dict[Tuple[int, int, int], Optional[int]] = {}
 
+    def _pour(self, i: int, j: int, d: int, u_max: int):
+        """Serve units from facility i one at a time, starting at client
+        j with d units left, filling clients j, j + 1, ... in order.
+
+        Yields, for u = 1..u_max, the client of the u-th unit, the
+        transport cost of the u units, and the state after them: the
+        first client with demand left and its units left (n + 1 and 0 if
+        none).  Stops before the first unit of infinite cost, since
+        every larger u serves it too.  u_max must not exceed the demand
+        left.
+        """
+        inst = self.inst
+        k, left = j, d
+        while left == 0 and k <= inst.n:
+            k += 1
+            left = inst.demand(k) if k <= inst.n else 0
+        cost: Cost = 0
+        for _ in range(u_max):
+            client = k
+            c = inst.cost(i, client)
+            if is_inf(c):
+                return
+            cost += c
+            left -= 1
+            while left == 0 and k <= inst.n:
+                k += 1
+                left = inst.demand(k) if k <= inst.n else 0
+            yield client, cost, k, left
+
     def value(self, i: int, j: int, d: int) -> Cost:
         inst = self.inst
         if j == inst.n + 1:
@@ -713,14 +750,12 @@ class ReferenceExactSolver:
         best_u: Optional[int] = None
         f = inst.facilities[i - 1]
         u_max = min(f.capacity, d + self.suffix[j])
-        for u in range(1, u_max + 1):
-            serve = greedy_serve(inst, i, u, j, d)
-            if is_inf(serve.transport_cost):
-                continue
-            tail = self.value(i + 1, serve.next_client, serve.demand_remaining)
+        for u, (_, transport, k, left) in enumerate(
+                self._pour(i, j, d, u_max), 1):
+            tail = self.value(i + 1, k, left)
             if is_inf(tail):
                 continue
-            cand = f.open_cost + serve.transport_cost + tail
+            cand = f.open_cost + transport + tail
             if cand < best:
                 best = cand
                 best_u = u
@@ -741,20 +776,12 @@ class ReferenceExactSolver:
             u = self._choice.get((i, j, d))
             if u is not None:
                 open_facilities.add(i)
-                serve = greedy_serve(inst, i, u, j, d)
-                ell = serve.next_client
-                if ell == j:
-                    units = {j: d - serve.demand_remaining}
-                else:
-                    units = {j: d}
-                    for k in range(j + 1, min(ell, inst.n + 1)):
-                        units[k] = inst.demand(k)
-                    if ell <= inst.n:
-                        units[ell] = inst.demand(ell) - serve.demand_remaining
+                units: Dict[int, int] = {}
+                for k, _, after_j, after_d in self._pour(i, j, d, u):
+                    units[k] = units.get(k, 0) + 1
                 for k, amount in units.items():
-                    if amount > 0:
-                        entries[(i, k)] = Fraction(amount, inst.demand(k))
-                j, d = ell, serve.demand_remaining
+                    entries[(i, k)] = Fraction(amount, inst.demand(k))
+                j, d = after_j, after_d
             i += 1
         flow = Flow(entries, cost - sum(inst.facilities[i - 1].open_cost
                                         for i in open_facilities))

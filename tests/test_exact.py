@@ -9,6 +9,7 @@ from conftest import (ReferenceExactSolver, certify_solution,
                       reference_level, state_instance)
 from mongecfl.exact import (DemandCapExceeded, ExactSolver, Solution,
                             solve_exact)
+from mongecfl.fptas import run_fptas
 from mongecfl.generate import random_lot_sizing, random_monge_instance
 from mongecfl.kernel import FULL, shared
 from mongecfl.model import INF, Client, Facility, Instance, is_inf
@@ -45,6 +46,18 @@ def test_solve_infeasible():
     solution = solve_exact(inst)
     assert is_inf(solution.total_cost)
     assert solution.open == set() and solution.assignment.entries == {}
+
+
+def test_no_clients_is_the_empty_solution():
+    # nothing to serve: no facility opens and the cost is 0, as from
+    # run_fptas, also with no facilities at all
+    one = Instance([Facility(0, 1)], [], [[]])
+    assert solve_exact(one) == run_fptas(one, 1).solution
+    for inst in (one, Instance([], [], [])):
+        solution = solve_exact(inst)
+        assert solution.total_cost == 0
+        assert solution.open == set() and solution.assignment.entries == {}
+        assert solution.assignment.cost == 0
 
 
 def test_demand_cap():
@@ -199,10 +212,11 @@ def assert_levels_match_reference(inst):
 
 @pytest.mark.parametrize("horizon, max_demand, max_capacity", [
     (40, 3, 8), (40, 3, 600), (60, 2, 60), (60, 2, 600), (80, 2, 20),
-    (80, 1, 600)])
+    (80, 1, 600), (12, 30, 60), (20, 30, 60), (30, 30, 60), (40, 30, 60)])
 def test_levels_match_reference_on_long_lot_sizing(horizon, max_demand,
                                                    max_capacity):
-    # demands small enough for the top-down reference
+    # long horizons at small demands, and the benchmark's lot-sizing
+    # regime: demand <= 30 per period and order capacity <= 60
     rng = random.Random(horizon * 1000 + max_capacity)
     ls = random_lot_sizing(rng, horizon, max_cost=200, max_demand=max_demand,
                            max_capacity=max_capacity,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import certify_solution, vector_demand_met
+from conftest import certify_solution, demand_met, vector_demand_met
 from mongecfl.extensions import (ClientPartition, WindowViolation,
                                  check_windowed_monge, run_two_class_fptas,
                                  solve_two_class_fptas)
@@ -152,7 +152,6 @@ def test_vector_demand_met_ref1(ref1):
 
 
 def test_vector_demand_met_degenerate(ref1):
-    from mongecfl.kernel import demand_met
     partition = ClientPartition((1, 2), ())
     for b in (0, 5, 8, 12):
         t1, t2 = vector_demand_met(ref1, partition, 1, (0, 0), b, 0)

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import certify_solution, exact_value_function, grid_points
-from mongecfl.fptas import (BudgetGrid, build_value_table, find_budget_bound,
-                            find_min_contribution, max_contribution_feasible,
-                            run_fptas, serve_everything_costs, solve_fptas)
+from mongecfl.fptas import (BudgetGrid, build_value_table, demand_met,
+                            find_budget_bound, find_min_contribution,
+                            max_contribution_feasible, run_fptas,
+                            serve_everything_costs, solve_fptas)
 from mongecfl.generate import random_monge_instance
 from mongecfl.model import Client, Facility, Infeasible, Instance
 from mongecfl.oracle import brute_force_optimum
@@ -56,6 +57,20 @@ def test_max_contribution_examples(ref1):
     # the search range's upper end is feasible for feasible instances
     limit = max(serve_everything_costs(ref1))
     assert max_contribution_feasible(ref1, limit)[0]
+
+
+def test_demand_met_step():
+    # facility 1 opens at 4; client 2 is free and client 1 costs 2
+    inst = Instance([Facility(4, 5)], [Client(2), Client(3)], [[2, 0]])
+    # ell equal to the opening cost leaves money 0, which still serves
+    # all of the free client
+    assert demand_met(inst, 1, 0, 1, 4) == (3, 1)
+    # money 1 also buys half a unit of client 1, over the lcm 2
+    assert demand_met(inst, 1, 0, 1, 5) == (7, 2)
+    # with half a unit met: 1/2 + 5/2, in lowest terms
+    assert demand_met(inst, 1, 1, 2, 4) == (3, 1)
+    # one short of the opening cost: the facility adds nothing
+    assert demand_met(inst, 1, 1, 2, 3) == (1, 2)
 
 
 def test_find_budget_bound_ref1(ref1):

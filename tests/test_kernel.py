@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 import numpy as np
 
 from conftest import (ReferenceIntegerServeCurve, ReferenceServeCurve,
-                      greedy_transport, recompute_flow_cost,
+                      demand_met, greedy_transport, recompute_flow_cost,
                       reference_demand_met, reference_serve_schedule)
-from mongecfl.generate import (monge_cost_matrix, random_lot_sizing,
-                               random_monge_instance)
+from mongecfl.generate import monge_cost_matrix, random_monge_instance
 from mongecfl.kernel import (Flow, ServeCurve, ServeFamily, cost_lcm,
-                             demand_met, greedy_serve, serve_schedule)
+                             serve_schedule)
 from mongecfl.model import INF, Client, Facility, Instance, is_inf
-from mongecfl.reductions import lot_sizing_to_cfl
 
 
 def test_greedy_transport_examples():
@@ -70,95 +68,6 @@ def test_greedy_transport_conservation(seed, m, n):
     for j in range(1, n + 1):
         assert sum(x for (_, b), x in flow.entries.items() if b == j) == demands[j - 1]
     assert recompute_flow_cost(flow, costs) == flow.cost
-
-
-def test_greedy_serve_examples(ref1):
-    r = greedy_serve(ref1, 1, 4, 1, 2)
-    assert (r.next_client, r.demand_remaining, r.transport_cost) == (2, 1, 6)
-    r = greedy_serve(ref1, 1, 1, 1, 2)
-    assert (r.next_client, r.demand_remaining, r.transport_cost) == (1, 1, 1)
-    r = greedy_serve(ref1, 1, 5, 1, 2)
-    assert (r.next_client, r.demand_remaining, r.transport_cost) == (3, 0, 8)
-
-
-def test_greedy_serve_preconditions(ref1):
-    with pytest.raises(ValueError):
-        greedy_serve(ref1, 3, 1, 1, 2)
-    with pytest.raises(ValueError):
-        greedy_serve(ref1, 1, 1, 1, 3)  # d exceeds demand of client 1
-    with pytest.raises(ValueError):
-        greedy_serve(ref1, 1, 6, 1, 2)  # u exceeds remaining demand
-    with pytest.raises(ValueError):
-        greedy_serve(ref1, 1, -1, 1, 2)
-
-
-def test_greedy_serve_all_served_means_no_remainder(ref1):
-    r = greedy_serve(ref1, 1, 5, 1, 2)
-    assert r.next_client == ref1.n + 1 and r.demand_remaining == 0
-
-
-def _simulate_greedy_serve(inst, i, u, j, d):
-    """Pour u units into clients j, j+1, ...: the first client left with
-    demand (n + 1 if none), its demand left, and the cost."""
-    left = u
-    cost = 0
-    for k in range(j, inst.n + 1):
-        avail = d if k == j else inst.demand(k)
-        take = min(avail, left)
-        if take > 0:
-            c = inst.cost(i, k)
-            cost = INF if (is_inf(c) or is_inf(cost)) else cost + c * take
-        left -= take
-        if take < avail:
-            return k, avail - take, cost
-    return inst.n + 1, 0, cost
-
-
-def _assert_greedy_serve_simulated(inst, i, u, j, d):
-    result = greedy_serve(inst, i, u, j, d)
-    expected = _simulate_greedy_serve(inst, i, u, j, d)
-    got = (result.next_client, result.demand_remaining,
-           result.transport_cost)
-    assert got == expected
-    assert [type(x) for x in got] == [type(x) for x in expected]
-
-
-def test_greedy_serve_cost_matches_simulation():
-    rng = random.Random(7)
-    for _ in range(50):
-        inst = random_monge_instance(rng, rng.randint(1, 4), rng.randint(1, 4))
-        j = rng.randint(1, inst.n)
-        d = rng.randint(0, inst.demand(j))
-        rest = d + sum(inst.demand(k) for k in range(j + 1, inst.n + 1))
-        if rest == 0:
-            continue
-        u = rng.randint(1, rest)
-        i = rng.randint(1, inst.m)
-        _assert_greedy_serve_simulated(inst, i, u, j, d)
-
-
-def test_greedy_serve_inf_costs_and_empty_serves():
-    # lot-sizing instances: infinite costs before each client's period
-    # and clients of demand 0; u = 0 and u = all remaining demand
-    rng = random.Random(8)
-    for _ in range(200):
-        inst = lot_sizing_to_cfl(random_lot_sizing(rng, rng.randint(1, 6)))
-        j = rng.randint(1, inst.n)
-        d = rng.randint(0, inst.demand(j))
-        rest = d + sum(inst.demand(k) for k in range(j + 1, inst.n + 1))
-        i = rng.randint(1, inst.m)
-        for u in {0, rng.randint(0, rest), rest}:
-            _assert_greedy_serve_simulated(inst, i, u, j, d)
-    # every (i, u, j, d) where clients of demand 0 sit between others
-    inst = Instance([Facility(1, 5), Facility(2, 5)],
-                    [Client(0), Client(2), Client(0), Client(1), Client(0)],
-                    [[1, 3, INF, 2, 4], [INF, 0, 5, INF, 1]])
-    for i in (1, 2):
-        for j in range(1, inst.n + 1):
-            for d in range(inst.demand(j) + 1):
-                rest = d + sum(c.demand for c in inst.clients[j:])
-                for u in range(rest + 1):
-                    _assert_greedy_serve_simulated(inst, i, u, j, d)
 
 
 def test_serve_schedule_serves_the_residual_profile(ref1):

@@ -7,6 +7,7 @@ closed, otherwise the smallest u with a strictly lower cost wins.
 Witnesses must match field for field, ``lhs``/``rhs`` included.
 """
 
+import itertools
 import random
 
 import pytest
@@ -64,6 +65,15 @@ def test_ties_and_zero_costs():
         costs = random_matrix(rng, m, n, (0, 1, 2), rng.choice((0, 0.2)))
         assert_same_solution(random_instance(rng, m, n, costs,
                                              max_open_cost=2))
+    # clients of demand 0 between others, with infinite costs around
+    # them, under every pair of capacities from (1, 2, 3, 5).  The
+    # matrix is not Monge, so the DP's answer (9 at capacities (5, 5))
+    # is above the optimum (5): only the two recurrences are compared.
+    for caps in itertools.product((1, 2, 3, 5), repeat=2):
+        assert_same_solution(Instance(
+            [Facility(1, caps[0]), Facility(2, caps[1])],
+            [Client(0), Client(2), Client(0), Client(1), Client(0)],
+            [[1, 3, INF, 2, 4], [INF, 0, 5, INF, 1]]))
 
 
 def test_staircase_instances():
@@ -73,6 +83,12 @@ def test_staircase_instances():
         inst = lot_sizing_to_cfl(random_lot_sizing(rng, rng.randint(1, 8)))
         infeasible += is_inf(assert_same_solution(inst).total_cost)
     assert infeasible > 5
+    # short horizons: whole staircases of infinite costs, and clients
+    # of demand 0
+    rng = random.Random(8)
+    for _ in range(200):
+        assert_same_solution(lot_sizing_to_cfl(
+            random_lot_sizing(rng, rng.randint(1, 6))))
 
 
 def test_lot_sizing_instances():
