@@ -52,13 +52,29 @@ generation order: each entry's closed candidate, then its open ones
 row by row.  None of the skipped candidates could survive the prune,
 which keeps the same frontier as with the full grid.
 
-Packed-key prune.  The prune ranks each key (b0, b1, b2, -d1, -d2) with
-``np.unique``, whatever the level's dtype, drops keys that are constant
-over the level (b2 and d2 when class 2 is empty), and sorts stably by
-(budget sum, b0, b1, b2, -d1, -d2).  A candidate is kept iff no
-candidate before it dominates it.  That keeps the maxima of the vector
-set (Kung, Luccio & Preparata, JACM 1975) and, among equal vectors,
-the first generated.  The ranks of F candidates take w = bit_length(F)
+Prune.  The prune ranks each key (b0, b1, b2, -d1, -d2) with
+``np.unique``, whatever the level's dtype, and drops keys that are
+constant over the level (b2 and d2 when class 2 is empty).  Frontier
+order is (budget sum, b0, b1, b2, -d1, -d2), ties in generation order,
+and a candidate is kept iff no candidate before it dominates it.  That
+keeps the maxima of the vector set (Kung, Luccio & Preparata, JACM
+1975) and, among equal vectors, the first generated.
+
+Rank grid.  Frontier order puts every dominator before what it
+dominates, so a candidate is kept iff no different vector dominates it
+and no equal one was generated before it, and that needs no order.
+The varying key with the most ranks is the value; the others, at most
+four, are the axes of a grid whose cells hold their least value rank.
+Running minima along every axis then give, at each cell, the least
+value at or below it on every axis.  A candidate is kept iff the cells
+one step down each axis hold only larger values, its own cell's least
+value is its own, and it is the first candidate with that cell and
+value.  One sort of the kept rows puts them in frontier order.  The
+grid is built only if it has at most 32 cells per candidate plus a
+constant, so its memory stays O(F) for F candidates.
+
+Packed words.  A level whose grid would be larger is pruned in frontier
+order by compares.  The ranks of F candidates take w = bit_length(F)
 + 1 bits each, whose top bit is a guard, packed into as many int64
 words as the keys need; a <= b in every field of a word iff
 ((b | G) - a) & G == G, with G the guard bits.  Dominance is tested
@@ -204,6 +220,84 @@ class _Frontier:
                          self.parent[rows], self.opened[rows])
 
 
+def _prune(b0: Sequence[int], b1: Sequence[int], b2: Sequence[int],
+           d1: Sequence[int], d2: Sequence[int]) -> List[int]:
+    """Indices of the non-dominated candidates, in frontier order.
+
+    Frontier order is (budget sum, b0, b1, b2, -d1, -d2), ties in
+    candidate order.  A candidate is kept iff no candidate before it
+    dominates it (budgets <= and demands >=): an earlier dominator is
+    itself kept or dominated by an earlier kept one.  Rows are integer
+    sequences or arrays, int64 or object.  Dominance is decided on a
+    rank grid where it fits and by packed words otherwise.
+    """
+    rows = [np.asarray(row) for row in (b0, b1, b2, d1, d2)]
+    if (any(row.dtype != np.int64 for row in rows)
+            or sum(int(row.max()) for row in rows[:3]) >= 2**63):
+        rows = [row.astype(object) for row in rows]
+    # every key is "smaller is better", so a dominates b iff a <= b; its
+    # int64 ranks compare the same way, and a constant key decides
+    # nothing (b2 and d2 of a partition without class 2)
+    ranks = [np.unique(key, return_inverse=True)[1]
+             for key in (rows[0], rows[1], rows[2], -rows[3], -rows[4])
+             if (key != key[0]).any()]
+    if not ranks:  # all candidates are equal: the first one is kept
+        return [0]
+    kept = _grid_prune(ranks)
+    if kept is None:
+        return _packed_prune(ranks, rows[0] + rows[1] + rows[2])
+    budget = rows[0][kept] + rows[1][kept] + rows[2][kept]
+    return kept[np.lexsort((*(rank[kept] for rank in ranks[::-1]),
+                            budget))].tolist()
+
+
+# the rank grid holds at most this many cells per candidate, plus a
+# constant, so its memory stays O(F) for F candidates
+_GRID_CELLS_PER_CANDIDATE = 32
+_GRID_CELLS_EXTRA = 1024
+
+
+def _grid_prune(ranks: List[np.ndarray]) -> Optional[np.ndarray]:
+    """Rows of the candidates that no different vector dominates, the
+    first of equal ones, in no set order; None when the rank grid would
+    exceed its cap (see the module docstring).
+
+    A different vector dominates a candidate iff its value is at most
+    the candidate's and its cell is at or below one step down some
+    axis, or it is in the same cell with a smaller value.  Coordinates
+    start at 1, so the slab at 0 of each axis is a step down that holds
+    no candidate.
+    """
+    sizes = [int(rank.max()) + 2 for rank in ranks]
+    v = int(np.argmax(sizes))
+    axes = ranks[:v] + ranks[v + 1:]
+    shape = sizes[:v] + sizes[v + 1:]
+    total = len(ranks[v])
+    if math.prod(shape) > (_GRID_CELLS_PER_CANDIDATE * total
+                           + _GRID_CELLS_EXTRA):
+        return None
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    cell = np.zeros(total, dtype=np.int64)
+    for rank, stride in zip(axes, strides):
+        cell += (rank + 1) * stride
+    # the grid starts at sizes[v] - 1, the number of values, above every
+    # value rank; int32 halves its memory, and the values take its dtype
+    # because ``np.minimum.at`` is only fast on matching dtypes
+    kind = np.int32 if sizes[v] < 2**31 else np.int64
+    value = ranks[v].astype(kind)
+    grid = np.full(shape, sizes[v] - 1, dtype=kind)
+    flat = grid.reshape(-1)
+    np.minimum.at(flat, cell, value)
+    fresh = flat[cell] == value
+    for axis in range(len(shape)):
+        np.minimum.accumulate(grid, axis=axis, out=grid)
+    for stride in strides:
+        fresh &= flat[cell - stride] > value
+    fresh = np.flatnonzero(fresh)
+    # equal vectors share a cell and a value: keep the first of them
+    return fresh[np.unique(cell[fresh], return_index=True)[1]]
+
+
 _PRUNE_BLOCK = 128
 _KEPT_CHUNK = 256
 # x < y within a block: an earlier candidate can beat a later one
@@ -229,30 +323,9 @@ def _below(a: np.ndarray, b: np.ndarray, guard: np.int64) -> np.ndarray:
     return diff == guard
 
 
-def _prune(b0: Sequence[int], b1: Sequence[int], b2: Sequence[int],
-           d1: Sequence[int], d2: Sequence[int]) -> List[int]:
-    """Indices of the non-dominated candidates, in frontier order.
-
-    Frontier order is (budget sum, b0, b1, b2, -d1, -d2), ties in
-    candidate order.  A candidate is kept iff no candidate before it
-    dominates it (budgets <= and demands >=): an earlier dominator is
-    itself kept or dominated by an earlier kept one.  Rows are integer
-    sequences or arrays, int64 or object.
-    """
-    rows = [np.asarray(row) for row in (b0, b1, b2, d1, d2)]
-    if (any(row.dtype != np.int64 for row in rows)
-            or sum(int(row.max()) for row in rows[:3]) >= 2**63):
-        rows = [row.astype(object) for row in rows]
-    budget = rows[0] + rows[1] + rows[2]
-    # every key is "smaller is better", so a dominates b iff a <= b; its
-    # int64 ranks compare the same way, and a constant key decides
-    # nothing (b2 and d2 of a partition without class 2)
-    ranks = [np.unique(key, return_inverse=True)[1]
-             for key in (rows[0], rows[1], rows[2], -rows[3], -rows[4])
-             if (key != key[0]).any()]
+def _packed_prune(ranks: List[np.ndarray], budget: np.ndarray) -> List[int]:
+    """``_prune`` by compares of packed rank words, block by block."""
     order = np.lexsort((*ranks[::-1], budget))
-    if not ranks:  # all candidates are equal: the first one is kept
-        return order[:1].tolist()
     # pack the ranks, w bits per field, as many fields per word as fit
     total = len(order)
     width = total.bit_length() + 1

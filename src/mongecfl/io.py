@@ -25,7 +25,8 @@ def _read_json(path):
 
 
 def _write_json(data, path) -> None:
-    Path(path).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    # one line: an indent makes json fall back to its pure-Python encoder
+    Path(path).write_text(json.dumps(data) + "\n", encoding="utf-8")
 
 
 def _shaped(v, shape: type, what: str):

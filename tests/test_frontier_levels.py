@@ -1,6 +1,7 @@
 """The two-class frontier, level by level: its candidate and kept
-counts, generation corners checked against the reference DP, the
-packed-key prune at width, and a known coarse-grid defect."""
+counts, generation corners checked against the reference DP, both
+prune paths (rank grid and packed words) against the reference prune,
+a wide level end to end, and a known coarse-grid defect."""
 
 import random
 from fractions import Fraction
@@ -148,9 +149,33 @@ def test_one_level_on_object_keys(monkeypatch):
         assert dtypes[:2] == [np.int64, object]
 
 
-def test_prune_at_width():
+@pytest.fixture
+def prune_paths(monkeypatch):
+    """The path each ``_prune`` call with a varying key took: "grid",
+    or "packed" where the rank grid would exceed its cell cap."""
+    paths = []
+    grid_prune = extensions._grid_prune
+
+    def spy(ranks):
+        kept = grid_prune(ranks)
+        paths.append("packed" if kept is None else "grid")
+        return kept
+
+    monkeypatch.setattr(extensions, "_grid_prune", spy)
+    return paths
+
+
+def reference_kept(vectors):
+    entries = [ReferenceEntry(*v, None, k, None, None)
+               for k, v in enumerate(vectors)]
+    return [e.facility for e in reference_prune(entries)]
+
+
+def test_prune_at_width(monkeypatch, prune_paths):
     """Over 2^12 candidates with all five keys varying: the ranks take
-    14-bit fields, four to a word, so the keys span two packed words."""
+    14-bit fields, four to a word, so the keys span two packed words.
+    The rank grid has 11 * 11 * 11 * ~51 cells, under its cap, so the
+    packed words only run with the cap cut to nothing."""
     rng = random.Random(12)
     size = 2**12 + 300
     assert 63 // (size.bit_length() + 1) < 5
@@ -167,8 +192,80 @@ def test_prune_at_width():
         assert len({v[3] for v in vectors}) > 2**12
         vectors += rng.sample(vectors, 200)
         rng.shuffle(vectors)
-        entries = [ReferenceEntry(*v, None, k, None, None)
-                   for k, v in enumerate(vectors)]
-        want = [e.facility for e in reference_prune(entries)]
+        want = reference_kept(vectors)
         assert 1 < len(want) < len(vectors)
-        assert _prune(*(list(row) for row in zip(*vectors))) == want
+        rows = [list(row) for row in zip(*vectors)]
+        assert _prune(*rows) == want
+        with monkeypatch.context() as cap:
+            cap.setattr(extensions, "_GRID_CELLS_PER_CANDIDATE", 0)
+            cap.setattr(extensions, "_GRID_CELLS_EXTRA", 0)
+            assert _prune(*rows) == want
+    assert prune_paths == ["grid", "packed"] * 2
+
+
+def test_prune_paths_match_reference(prune_paths):
+    """Seeded levels with 0 to 5 varying keys, duplicates and keys past
+    2^63 and 2^64: small key ranges fit the rank grid, wide ones over
+    several keys exceed its cap and take the packed words."""
+    rng = random.Random(28)
+    varying_counts = set()
+    for _ in range(600):
+        varying = rng.sample(range(5), rng.randint(0, 5))
+        spans = [rng.choice((1, 3, 60)) if k in varying else 0
+                 for k in range(5)]
+        offset = rng.choice((0, 2**63, 2**64))
+        vectors = [tuple((offset if k in (0, 3) else 0) + rng.randint(0, s)
+                         for k, s in enumerate(spans))
+                   for _ in range(rng.randint(1, 90))]
+        vectors += rng.choices(vectors, k=rng.randint(0, 20))
+        rng.shuffle(vectors)
+        varying_counts.add(sum(len(set(key)) > 1 for key in zip(*vectors)))
+        assert _prune(*(list(row) for row in zip(*vectors))) == \
+            reference_kept(vectors)
+    assert varying_counts == set(range(6))
+    assert {"grid", "packed"} <= set(prune_paths)
+
+
+def test_prune_single_and_equal_candidates(prune_paths):
+    # no key varies: the first candidate is kept, and no grid is built
+    assert _prune([7], [0], [2**70], [3], [0]) == [0]
+    assert _prune([1] * 3, [2] * 3, [0] * 3, [5] * 3, [1] * 3) == [0]
+    assert prune_paths == []
+    # candidates 0 and 2 are equal: only the first is kept, and it comes
+    # after candidate 1, whose b0 is smaller at the same budget sum
+    assert _prune([1, 0, 1], [0, 1, 0], [0, 0, 0], [5, 5, 5],
+                  [0, 0, 0]) == [1, 0]
+    assert prune_paths == ["grid"]
+
+
+def test_prune_cell_holding_several_values(prune_paths):
+    # d1 has the most ranks, so it is the value over a b0 axis.  Cell
+    # b0 = 0 holds d1 = 3, 5, 1 and 5 again: only the first d1 = 5 is
+    # kept.  Cell b0 = 1 holds d1 = 6 and 2: d1 = 6 beats everything in
+    # the cell below and is kept, while d1 = 2 is beaten by both.
+    vectors = [(0, 0, 0, 3, 0), (0, 0, 0, 5, 0), (1, 0, 0, 6, 0),
+               (0, 0, 0, 1, 0), (1, 0, 0, 2, 0), (0, 0, 0, 5, 0)]
+    assert reference_kept(vectors) == [1, 2]
+    assert _prune(*(list(row) for row in zip(*vectors))) == [1, 2]
+    assert prune_paths == ["grid"]
+
+
+def test_width_instance_at_cost_multiplier_3(prune_paths):
+    """A wide split level: 962,451 candidates, 40,523 kept.  The first
+    level's 883 candidates vary in all five keys over a grid of 103k
+    cells, past the cap, so it takes the packed words; the wide levels
+    fit the rank grid."""
+    costs = [(2, INF, INF, INF, INF), (4, 5, 2, INF, INF),
+             (5, 6, 3, INF, INF), (3, 4, 1, 3, 3)]
+    inst = Instance([Facility(3, 6), Facility(0, 1), Facility(0, 6),
+                     Facility(2, 5)],
+                    [Client(d) for d in (3, 2, 1, 3, 1)],
+                    [[c if c == INF else 3 * c for c in row]
+                     for row in costs])
+    result = run_two_class_fptas(inst, ClientPartition((1,), (2, 3, 4, 5)),
+                                 Fraction(1, 10))
+    assert result.levels == ((883, 883), (71077, 12388), (962451, 40523),
+                             (329413, 41828))
+    assert result.solution.total_cost == 95
+    assert certify_solution(inst, result.solution) == []
+    assert prune_paths == ["packed", "grid", "grid", "grid"]
